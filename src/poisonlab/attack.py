@@ -6,13 +6,19 @@ clean mean gradient,
 
     minimize over poison points  (1/2) || g(mu) + eps_d * g(nu) ||^2,
 
-by projected gradient descent with momentum. The per-point update is the
-mixed second-order product of the loss, scaled by 1/n (n = clean count),
-with the residual g(mu) + eps_d g(nu) recomputed once per epoch (or once
-per mini-batch when batching). Gradient matching optimizes a cosine
-dissimilarity against a reversed-loss gradient instead, and the
-Frank-Wolfe variant optimizes the poison distribution itself as a
-weighted atom set over a discretized domain.
+by projected gradient descent with momentum. Each step makes one fused
+pass over the poison set (`models._canceling_pass`): a single forward
+pass yields the residual g(mu) + eps_d g(nu), the per-point feature
+update (the mixed second-order product of the loss, scaled by 1/n with
+n the clean count) and the label gradient. Labels enter that pass as
+float targets built once per attack, so hard and optimized soft labels
+share one code path. The residual is recomputed once per epoch (or once
+per mini-batch when batching), and the L-BFGS polish evaluates the same
+pass; only the reported final merit goes back through the public,
+validating kernels. Gradient matching optimizes a cosine dissimilarity
+against a reversed-loss gradient instead, and the Frank-Wolfe variant
+optimizes the poison distribution itself as a weighted atom set over a
+discretized domain.
 """
 
 from __future__ import annotations
@@ -25,10 +31,9 @@ import numpy as np
 from .data import Dataset
 from .errors import AttackDivergence, DomainError
 from .mathcore import make_rng
-from .models import (LEAST_SQUARES, LOGISTIC, SOFTMAX, ModelSpec,
-                     _onehot, _sigmoid, _softmax_rows, check_params,
-                     grads_batch, losses_batch, mean_param_grad,
-                     mixed_vjp_batch, unpack_mlp, unpack_softmax)
+from .models import (LEAST_SQUARES, LOGISTIC, ModelSpec, _canceling_pass,
+                     _onehot, check_params, grads_batch, losses_batch,
+                     mean_param_grad, mixed_vjp_batch)
 from .optim import project_simplex_rows, round_half_up, schedule_lr
 
 CLIP_BOX = "box"
@@ -121,88 +126,11 @@ def _init_poison(mu: Dataset, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return mu.x[idx].copy(), mu.y[idx].copy()
 
 
-# --- soft-label gradient helpers (only used when optimize_labels is on) ----
-
-def _soft_state(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
-    if spec.family == LEAST_SQUARES:
-        return np.asarray(y, dtype=np.float64).copy()
-    if spec.family == LOGISTIC:
+def _label_targets(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
+    """Float label targets for the canceling pass: y, or its one-hot rows."""
+    if spec.family in (LEAST_SQUARES, LOGISTIC):
         return np.asarray(y, dtype=np.float64).copy()
     return _onehot(np.asarray(y, np.int64), spec.classes)
-
-
-def _soft_mean_grad(spec, params, x, soft):
-    n = x.shape[0]
-    if spec.family == LEAST_SQUARES:
-        return (x.T @ (x @ params - soft)) / n
-    if spec.family == LOGISTIC:
-        coef = _sigmoid(x @ params) - soft
-        return (x.T @ coef) / n
-    if spec.family == SOFTMAX:
-        q = _softmax_rows(x @ unpack_softmax(spec, params)) - soft
-        return ((x.T @ q) / n).ravel()
-    u, w = unpack_mlp(spec, params)
-    a = x @ u.T
-    d = np.where(a > 0, 1.0, spec.leaky_slope)
-    phi = np.where(a > 0, a, spec.leaky_slope * a)
-    q = _softmax_rows(phi @ w) - soft
-    r = (q @ w.T) * d
-    return np.concatenate([((r.T @ x) / n).ravel(), ((phi.T @ q) / n).ravel()])
-
-
-def _soft_mixed_batch(spec, params, x, soft, v):
-    """mixed_vjp_batch against soft labels instead of hard class indices."""
-    if spec.family == LEAST_SQUARES:
-        r = x @ params - soft
-        return np.outer(x @ v, params) + r[:, None] * v[None, :]
-    if spec.family == LOGISTIC:
-        p = _sigmoid(x @ params)
-        return (p * (1.0 - p) * (x @ v))[:, None] * params[None, :] \
-            + (p - soft)[:, None] * v[None, :]
-    if spec.family == SOFTMAX:
-        w = unpack_softmax(spec, params)
-        vm = v.reshape(spec.input_dim, spec.classes)
-        p = _softmax_rows(x @ w)
-        q = p - soft
-        ps = p * (x @ vm)
-        jp = ps - p * ps.sum(axis=1, keepdims=True)
-        return q @ vm.T + jp @ w.T
-    u, w = unpack_mlp(spec, params)
-    cut = spec.hidden * spec.input_dim
-    vu = v[:cut].reshape(spec.hidden, spec.input_dim)
-    vw = v[cut:].reshape(spec.hidden, spec.classes)
-    a = x @ u.T
-    d = np.where(a > 0, 1.0, spec.leaky_slope)
-    phi = np.where(a > 0, a, spec.leaky_slope * a)
-    p = _softmax_rows(phi @ w)
-    q = p - soft
-
-    def jp(s):
-        ps = p * s
-        return ps - p * ps.sum(axis=1, keepdims=True)
-
-    t1 = ((q @ vw.T) * d) @ u
-    t2 = ((jp(phi @ vw) @ w.T) * d) @ u
-    t3 = ((q @ w.T) * d) @ vu
-    t4 = ((jp(((x @ vu.T) * d) @ w) @ w.T) * d) @ u
-    return t1 + t2 + t3 + t4
-
-
-def _soft_label_grad(spec, params, x, v):
-    """d<param_grad, v>/d(label) per sample (labels enter param grads linearly)."""
-    if spec.family in (LEAST_SQUARES, LOGISTIC):
-        return -(x @ v)
-    if spec.family == SOFTMAX:
-        return -(x @ v.reshape(spec.input_dim, spec.classes))
-    u, w = unpack_mlp(spec, params)
-    cut = spec.hidden * spec.input_dim
-    vu = v[:cut].reshape(spec.hidden, spec.input_dim)
-    vw = v[cut:].reshape(spec.hidden, spec.classes)
-    a = x @ u.T
-    d = np.where(a > 0, 1.0, spec.leaky_slope)
-    phi = np.where(a > 0, a, spec.leaky_slope * a)
-    # q appears as phi (x) q and ((W q) . d) (x) x; both are linear in q
-    return -(phi @ vw) - ((x @ vu.T) * d) @ w
 
 
 def _harden_labels(spec: ModelSpec, soft: np.ndarray) -> np.ndarray:
@@ -221,20 +149,19 @@ def _project_soft(spec: ModelSpec, soft: np.ndarray) -> np.ndarray:
     return project_simplex_rows(soft)
 
 
-def _polish(spec, target, xs, ys, soft, g_mu, eps_d, box, clip_mode,
-            clean_range, n=None):
+def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
+            clean_range, n):
     """Bound-constrained quasi-Newton pass on the canceling objective.
 
-    Optimizes the poison features (plus the labels for the square loss,
-    where they are free reals); soft classification labels stay fixed at
-    their current values. Returns the improved state only if the merit
-    actually dropped.
+    Optimizes the poison features, plus the label targets t when
+    free_labels (optimized square-loss labels, which are free reals);
+    otherwise t stays fixed. Returns the improved (features, t) only if
+    the merit actually dropped.
     """
     from scipy.optimize import minimize
 
     count, d = xs.shape
-    free_labels = soft is not None and spec.family == LEAST_SQUARES
-    x0 = np.concatenate([xs.ravel(), soft.ravel()]) if free_labels else xs.ravel()
+    x0 = np.concatenate([xs.ravel(), t]) if free_labels else xs.ravel()
 
     if clip_mode == CLIP_NONE:
         bounds = None
@@ -247,34 +174,22 @@ def _polish(spec, target, xs, ys, soft, g_mu, eps_d, box, clip_mode,
 
     def objective(flat):
         pts = flat[:count * d].reshape(count, d)
-        lab = flat[count * d:] if free_labels else (soft if soft is not None else ys)
-        if soft is not None:
-            g_nu = _soft_mean_grad(spec, target, pts,
-                                   lab if free_labels else soft)
-            residual = g_mu + eps_d * g_nu
-            gx = _soft_mixed_batch(spec, target, pts,
-                                   lab if free_labels else soft, residual) / n
-        else:
-            g_nu = grads_batch(spec, target, pts, lab).mean(axis=0)
-            residual = g_mu + eps_d * g_nu
-            gx = mixed_vjp_batch(spec, target, pts, lab, residual) / n
-        merit = 0.5 * float(residual @ residual)
-        grad = gx.ravel()
+        lab = flat[count * d:] if free_labels else t
+        residual, gx, gt = _canceling_pass(spec, target, pts, lab, g_mu, eps_d)
+        if not np.all(np.isfinite(residual)):
+            raise DomainError("non-finite canceling residual in the polish")
+        grad = gx.ravel() / n
         if free_labels:
-            gl = _soft_label_grad(spec, target, pts, residual) / n
-            grad = np.concatenate([grad, np.asarray(gl).ravel()])
-        return merit, grad
+            grad = np.concatenate([grad, gt / n])
+        return 0.5 * float(residual @ residual), grad
 
     start, _ = objective(x0)
     res = minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
                    options={"maxiter": 1000, "ftol": 1e-20, "gtol": 1e-16})
     if not np.isfinite(res.fun) or res.fun >= start:
-        return xs, soft
+        return xs, t
     pts = res.x[:count * d].reshape(count, d)
-    new_soft = soft
-    if free_labels:
-        new_soft = res.x[count * d:].copy()
-    return pts, new_soft
+    return pts, (res.x[count * d:].copy() if free_labels else t)
 
 
 def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
@@ -309,27 +224,31 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     g_mu = mean_param_grad(spec, target, mu)
     clean_range = np.stack([mu.x.min(axis=0), mu.x.max(axis=0)], axis=1)
 
-    soft = _soft_state(spec, ys) if opts.optimize_labels else None
+    # float label targets; they move only when labels are optimized
+    t = _label_targets(spec, ys)
+    free = opts.optimize_labels
     vel_x = np.zeros_like(xs)
-    vel_y = np.zeros_like(soft) if soft is not None else None
+    vel_t = np.zeros_like(t)
     merit_trace = np.empty(opts.epochs)
 
-    def poison_mean_grad():
-        if soft is not None:
-            return _soft_mean_grad(spec, target, xs, soft)
-        return grads_batch(spec, target, xs, ys).mean(axis=0)
+    def canceling_pass(rows=None):
+        return _canceling_pass(spec, target, xs, t, g_mu, eps_d, rows)
 
     batch = opts.batch_size if opts.batch_size and opts.batch_size < count else None
     scale = 1.0
     window: deque = deque(maxlen=_NONMONOTONE_WINDOW)
-    prev_xs = prev_soft = None
+    prev_xs = prev_t = None
     best_merit = np.inf
-    best_xs, best_soft, best_ys = xs.copy(), None, ys.copy()
+    best_xs, best_t = xs.copy(), t.copy()
 
     for epoch in range(opts.epochs):
         lr_t = schedule_lr(opts.lr, opts.schedule, epoch, opts.epochs)
-        g_nu = poison_mean_grad()
-        residual = g_mu + eps_d * g_nu
+        if batch is None:
+            chunks = [slice(0, count)]
+        else:
+            order = rng.permutation(count)
+            chunks = [order[i:i + batch] for i in range(0, count, batch)]
+        residual, gx, gt = canceling_pass(chunks[0])
         merit = 0.5 * float(residual @ residual)
         if not np.isfinite(merit):
             if not opts.adaptive or not window:
@@ -340,14 +259,12 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
             # undo the offending epoch, halve the step scale, restart the
             # momentum from rest
             xs = prev_xs.copy()
-            if soft is not None:
-                soft = prev_soft.copy()
+            if free:
+                t = prev_t.copy()
             vel_x[:] = 0.0
-            if vel_y is not None:
-                vel_y[:] = 0.0
+            vel_t[:] = 0.0
             scale = max(scale * 0.5, 1e-15)
-            g_nu = poison_mean_grad()
-            residual = g_mu + eps_d * g_nu
+            residual, gx, gt = canceling_pass(chunks[0])
             merit = 0.5 * float(residual @ residual)
         elif opts.adaptive and window:
             scale = min(scale * 1.2, 1e6)
@@ -355,55 +272,38 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
         window.append(merit)
         if merit < best_merit:
             best_merit = merit
-            best_xs = xs.copy()
-            best_soft = soft.copy() if soft is not None else None
-            best_ys = ys.copy()
+            best_xs, best_t = xs.copy(), t.copy()
         if opts.adaptive:
             prev_xs = xs.copy()
-            prev_soft = soft.copy() if soft is not None else None
+            prev_t = t.copy() if free else None
         lr_t *= scale
-
-        if batch is None:
-            chunks = [slice(0, count)]
-        else:
-            order = rng.permutation(count)
-            chunks = [order[i:i + batch] for i in range(0, count, batch)]
 
         for ci, chunk in enumerate(chunks):
             if ci > 0:
                 # stale residual is refreshed once per mini-batch
-                residual = g_mu + eps_d * poison_mean_grad()
-            if soft is not None:
-                gx = _soft_mixed_batch(spec, target, xs[chunk], soft[chunk],
-                                       residual) / n
-            else:
-                gx = mixed_vjp_batch(spec, target, xs[chunk], ys[chunk],
-                                     residual) / n
-            vel_x[chunk] = opts.momentum * vel_x[chunk] + gx
-            xs[chunk] = xs[chunk] - lr_t * vel_x[chunk]
-            xs[chunk] = project_admissible(xs[chunk], mu.domain_box,
-                                           opts.clip_mode, clean_range)
-            if soft is not None:
-                gy = _soft_label_grad(spec, target, xs[chunk], residual) / n
-                vel_y[chunk] = opts.momentum * vel_y[chunk] + gy
-                soft[chunk] = _project_soft(spec, soft[chunk] - lr_t * vel_y[chunk])
+                residual, gx, gt = canceling_pass(chunk)
+                if not np.all(np.isfinite(residual)):
+                    raise DomainError("non-finite canceling residual")
+            vel_x[chunk] = opts.momentum * vel_x[chunk] + gx / n
+            xs[chunk] = project_admissible(xs[chunk] - lr_t * vel_x[chunk],
+                                           mu.domain_box, opts.clip_mode,
+                                           clean_range)
+            if free:
+                vel_t[chunk] = opts.momentum * vel_t[chunk] + gt / n
+                t[chunk] = _project_soft(spec, t[chunk] - lr_t * vel_t[chunk])
 
-    # evaluate the closing state too, then return the best iterate seen
-    g_nu = poison_mean_grad()
-    residual = g_mu + eps_d * g_nu
+    # evaluate the closing state too, then keep the best iterate seen
+    residual, _, _ = canceling_pass()
     closing = 0.5 * float(residual @ residual)
-    if np.isfinite(closing) and closing < best_merit:
-        best_merit = closing
-        best_xs, best_ys = xs.copy(), ys.copy()
-        best_soft = soft.copy() if soft is not None else None
-    xs, ys, soft = best_xs, best_ys, best_soft
+    if not (np.isfinite(closing) and closing < best_merit):
+        xs, t = best_xs, best_t
 
     if opts.polish:
-        xs, soft = _polish(spec, target, xs, ys, soft, g_mu, eps_d,
-                           mu.domain_box, opts.clip_mode, clean_range, n=n)
+        xs, t = _polish(spec, target, xs, t, free and spec.family == LEAST_SQUARES,
+                        g_mu, eps_d, mu.domain_box, opts.clip_mode, clean_range, n)
 
-    if soft is not None:
-        ys = _harden_labels(spec, soft)
+    if free:
+        ys = _harden_labels(spec, t)
     residual = g_mu + eps_d * (grads_batch(spec, target, xs, ys).mean(axis=0))
     final_merit = 0.5 * float(residual @ residual)
     poison = Dataset(xs, ys, mu.task, mu.classes, mu.domain_box)

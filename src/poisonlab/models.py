@@ -10,8 +10,10 @@ Four families share one flat-parameter interface:
 
 `mixed_vjp` returns the feature-space gradient of <param_grad(x, y), v>,
 computed from closed forms (the leaky-ReLU kink contributes zero almost
-everywhere). All losses use log-sum-exp formulations, and batch reductions
-run in a fixed order so results are bit-reproducible.
+everywhere). `_canceling_pass` fuses the poison mean gradient, the
+canceling residual and its feature and label gradients into one forward
+pass for the attack's inner loop. All losses use log-sum-exp formulations,
+and batch reductions run in a fixed order so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .data import CLASSIFICATION, Dataset
 from .errors import DomainError, ShapeError
@@ -103,15 +106,6 @@ def _softplus(t):
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
-def _sigmoid(t):
-    out = np.empty_like(t, dtype=np.float64)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def _softmax_rows(h: np.ndarray) -> np.ndarray:
     z = h - h.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -188,7 +182,7 @@ def grads_batch(spec: ModelSpec, params: np.ndarray, x, y) -> np.ndarray:
     if spec.family == LOGISTIC:
         s = 2.0 * yi - 1.0
         m = s * (x @ params)
-        coef = -_sigmoid(-m) * s
+        coef = -expit(-m) * s
         return coef[:, None] * x
     if spec.family == SOFTMAX:
         w = unpack_softmax(spec, params)
@@ -222,7 +216,7 @@ def mean_param_grad(spec: ModelSpec, params, ds: Dataset) -> np.ndarray:
     if spec.family == LOGISTIC:
         s = 2.0 * np.asarray(y, dtype=np.float64) - 1.0
         m = s * (x @ params)
-        coef = -_sigmoid(-m) * s
+        coef = -expit(-m) * s
         return (x.T @ coef) / n
     if spec.family == SOFTMAX:
         w = unpack_softmax(spec, params)
@@ -269,7 +263,7 @@ def mixed_vjp_batch(spec: ModelSpec, params: np.ndarray, x, y,
         yi = np.asarray(y, dtype=np.int64).ravel()
         s = 2.0 * yi - 1.0
         m = s * (x @ params)
-        sig = _sigmoid(-m)
+        sig = expit(-m)
         # d/dx [-sigma(-m) s x . v] with m = s w.x
         return (sig * (1.0 - sig) * (x @ v))[:, None] * params[None, :] \
             - (sig * s)[:, None] * v[None, :]
@@ -301,6 +295,75 @@ def mixed_vjp_batch(spec: ModelSpec, params: np.ndarray, x, y,
 
 def mixed_vjp(spec: ModelSpec, params, x, y, v) -> np.ndarray:
     return mixed_vjp_batch(spec, params, x, [y], v)[0]
+
+
+# ---------------------------------------------------------------------------
+# fused canceling pass
+
+def _canceling_pass(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
+                    t: np.ndarray, g_mu: np.ndarray, eps_d: float, rows=None):
+    """Residual and its poison-side gradients from one forward pass.
+
+    t holds float label targets: shape (n,) for least_squares and
+    logistic_binary, (n, c) rows for softmax_linear and mlp1 (the one-hot
+    rows for hard labels). Returns
+
+      r   = g_mu + eps_d * mean_i param_grad(x_i, t_i)   over all n rows,
+      gx  = rows of grad_x <param_grad(x_i, t_i), r>,
+      gt  = d<param_grad(x_i, t_i), r> / dt_i,
+
+    the last two for `rows` only (all rows by default). Every gradient is
+    linear in the output error q = prediction - t, so gt = -s where s is
+    d<param_grad, r>/dq. Nothing is validated here: the caller checks
+    params once per attack.
+    """
+    n = x.shape[0]
+    sel = slice(None) if rows is None else rows
+    xr = x[sel]
+    if spec.family == LEAST_SQUARES:
+        q = x @ params - t
+        residual = g_mu + eps_d * ((x.T @ q) / n)
+        s = xr @ residual
+        gx = np.outer(s, params) + q[sel][:, None] * residual[None, :]
+        return residual, gx, -s
+    if spec.family == LOGISTIC:
+        z = x @ params
+        p, pn = expit(z), expit(-z)
+        # equals sigma(z) - t, but exact for hard labels where the naive
+        # difference would cancel away the digits of a converged merit
+        q = (1.0 - t) * p - t * pn
+        residual = g_mu + eps_d * ((x.T @ q) / n)
+        s = xr @ residual
+        gx = ((p * pn)[sel] * s)[:, None] * params[None, :] \
+            + q[sel][:, None] * residual[None, :]
+        return residual, gx, -s
+    if spec.family == SOFTMAX:
+        w = unpack_softmax(spec, params)
+        p = _softmax_rows(x @ w)
+        q = p - t
+        residual = g_mu + eps_d * ((x.T @ q) / n).ravel()
+        vm = residual.reshape(spec.input_dim, spec.classes)
+        s = xr @ vm
+        gx = q[sel] @ vm.T + _jp_apply(p[sel], s) @ w.T
+        return residual, gx, -s
+    u, w = unpack_mlp(spec, params)
+    a = x @ u.T
+    d = np.where(a > 0, 1.0, spec.leaky_slope)
+    phi = a * d
+    p = _softmax_rows(phi @ w)
+    q = p - t
+    back = (q @ w.T) * d                   # dl/da, shape (n, m)
+    residual = g_mu + eps_d * np.concatenate(
+        [((back.T @ x) / n).ravel(), ((phi.T @ q) / n).ravel()])
+    cut = spec.hidden * spec.input_dim
+    vu = residual[:cut].reshape(spec.hidden, spec.input_dim)
+    vw = residual[cut:].reshape(spec.hidden, spec.classes)
+    dr = d[sel]
+    # <grad_W l, Vw> = phi^T Vw q ; <grad_U l, Vu> = (D (W q))^T Vu x
+    s = phi[sel] @ vw + ((xr @ vu.T) * dr) @ w
+    gx = ((q[sel] @ vw.T + _jp_apply(p[sel], s) @ w.T) * dr) @ u \
+        + back[sel] @ vu
+    return residual, gx, -s
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poisonlab as pl
 from poisonlab.attack import (AttackOptions, GridDomain, LineDomain,
@@ -13,6 +15,7 @@ from poisonlab.models import ModelSpec, grads_batch, losses_batch, \
 from poisonlab.optim import round_half_up
 
 W_STAR = np.array([0.0, np.log(2.0)])
+OR_CLEAN = pl.gen_or(seed=0)
 
 
 def regression_problem(seed=0, n=200):
@@ -194,6 +197,32 @@ class TestGradientCanceling:
                                  AttackOptions(lr=50.0, epochs=800,
                                                optimize_labels=True, seed=2))
         assert res.final_merit < 1e-10
+
+
+class TestCancelingInvariants:
+    @settings(max_examples=30, deadline=None)
+    @given(eps_d=st.floats(0.05, 3.0),
+           clip_mode=st.sampled_from(["box", "clean_range", "none"]),
+           w=st.tuples(st.floats(-2.0, 0.5), st.floats(-2.0, 0.5),
+                       st.floats(-0.5, 1.5)),
+           seed=st.integers(0, 2**16))
+    def test_or_merit_bounds_and_count(self, eps_d, clip_mode, w, seed):
+        spec = ModelSpec("logistic_binary", 3)
+        target = np.array(w)
+        res = gradient_canceling(OR_CLEAN, spec, target, eps_d,
+                                 AttackOptions(epochs=30, lr=2.0, seed=seed,
+                                               clip_mode=clip_mode))
+        poison = res.poison
+        assert poison.n == round_half_up(OR_CLEAN.n * eps_d)
+        residual = mean_param_grad(spec, target, OR_CLEAN) \
+            + eps_d * mean_param_grad(spec, target, poison)
+        recomputed = 0.5 * float(residual @ residual)
+        assert abs(res.final_merit - recomputed) <= 1e-9 * recomputed + 1e-24
+        assert np.all(np.isfinite(poison.x))
+        if clip_mode != "none":
+            lo, hi = (OR_CLEAN.domain_box.T if clip_mode == "box" else
+                      (OR_CLEAN.x.min(axis=0), OR_CLEAN.x.max(axis=0)))
+            assert np.all(poison.x >= lo) and np.all(poison.x <= hi)
 
 
 class TestGradientMatching:
