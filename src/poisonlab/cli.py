@@ -289,7 +289,7 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
                    for i, t in enumerate(cfg["targets"])]
         eps = cfg["eps_d"]
         eps_list = [float(e) for e in (eps if isinstance(eps, list) else [eps])]
-        if jobs <= 1 or train_opts.bit_reproducible is False:
+        if jobs <= 1:
             rows = sweep_heatmap(clean, test, spec, targets, eps_list,
                                  gc_opts, base_seed=seed, train_opts=train_opts)
         else:

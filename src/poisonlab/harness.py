@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -10,7 +11,8 @@ from .attack import AttackOptions, FrankWolfeResult, gradient_canceling
 from .data import CLASSIFICATION, Dataset, concat
 from .errors import AttackDivergence, DomainError, PoisonLabError
 from .mathcore import derive_seed, make_rng, top_singular_vector
-from .models import ModelSpec, accuracy, mean_param_grad
+from .models import (ModelSpec, _mean_grad_fn, accuracy, check_params,
+                     mean_param_grad)
 from .optim import schedule_lr
 from .reachability import tau_threshold
 
@@ -27,7 +29,6 @@ class TrainOptions:
     batch_size: int | None = None  # None: full batch up to 10k samples, then 1000
     grad_tol: float = 1e-8
     init_scale: float = 0.01
-    bit_reproducible: bool = True
     # divide lr by the estimated loss smoothness when it exceeds 1, so
     # retraining stays stable on mixtures containing far-out poison
     auto_scale_lr: bool = True
@@ -62,11 +63,14 @@ def train(spec: ModelSpec, ds: Dataset, opts: TrainOptions | None = None,
 
     Full batch for small datasets, mini-batches of 1000 above 10k
     samples; stops at the epoch budget or when the full-data gradient
-    norm falls below grad_tol. Deterministic given (opts, seed).
+    norm falls below grad_tol. The init is validated once, and the
+    labels are prepared once per training set (once per mini-batch when
+    batching) by `models._mean_grad_fn`, whose unchecked kernel every
+    epoch then calls. Deterministic given (opts, seed).
     """
     opts = opts or TrainOptions()
     rng = make_rng(seed, stream=5)
-    params = spec.init_params(rng, opts.init_scale)
+    params = check_params(spec, spec.init_params(rng, opts.init_scale))
     batch = opts.batch_size
     if batch is None and ds.n > _SGD_SWITCH_N:
         batch = _DEFAULT_SGD_BATCH
@@ -76,12 +80,14 @@ def train(spec: ModelSpec, ds: Dataset, opts: TrainOptions | None = None,
     if opts.auto_scale_lr:
         lr = lr / max(1.0, _smoothness_bound(spec, ds))
 
+    grad = _mean_grad_fn(spec, ds.x, ds.y)
     vel = np.zeros_like(params)
     for epoch in range(opts.epochs):
         lr_t = schedule_lr(lr, opts.schedule, epoch, opts.epochs)
-        g = mean_param_grad(spec, params, ds)
-        gn = float(np.linalg.norm(g))
-        if not np.isfinite(gn):
+        g = grad(params)
+        gn = math.sqrt(g @ g)
+        if not math.isfinite(gn):
+            check_params(spec, params)  # a non-finite iterate: DomainError
             raise AttackDivergence(f"training diverged at epoch {epoch}")
         if gn < opts.grad_tol:
             break
@@ -91,8 +97,8 @@ def train(spec: ModelSpec, ds: Dataset, opts: TrainOptions | None = None,
         else:
             order = rng.permutation(ds.n)
             for i in range(0, ds.n, batch):
-                part = ds.subset(order[i:i + batch])
-                gb = mean_param_grad(spec, params, part)
+                idx = order[i:i + batch]
+                gb = _mean_grad_fn(spec, ds.x[idx], ds.y[idx])(params)
                 vel = opts.momentum * vel + gb
                 params = params - lr_t * vel
     return params

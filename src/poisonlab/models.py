@@ -10,9 +10,12 @@ Four families share one flat-parameter interface:
 
 `mixed_vjp` returns the feature-space gradient of <param_grad(x, y), v>,
 computed from closed forms (the leaky-ReLU kink contributes zero almost
-everywhere). `_canceling_pass` fuses the poison mean gradient, the
-canceling residual and its feature and label gradients into one forward
-pass for the attack's inner loop. All losses use log-sum-exp formulations,
+everywhere). `_mean_grad_fn` prepares a training set's labels once and
+returns an unchecked mean-gradient function: `mean_param_grad` calls it
+after validating params, and the training loops call it every epoch
+after validating their init once. `_canceling_pass` fuses the poison
+mean gradient, the canceling residual and its feature and label
+gradients into one forward pass for the attack's inner loop. All losses use log-sum-exp formulations,
 and batch reductions run in a fixed order so results are bit-reproducible.
 """
 
@@ -204,33 +207,46 @@ def param_grad(spec: ModelSpec, params, x, y) -> np.ndarray:
     return grads_batch(spec, params, x, [y])[0]
 
 
+def _mean_grad_fn(spec: ModelSpec, x: np.ndarray, y):
+    """Unchecked `params -> mean parameter gradient` over the rows (x, y).
+
+    The labels are prepared once per training set: float targets for
+    least_squares, the sign s = 2y - 1 folded into the features for
+    logistic_binary (s is +-1, so every product and sum keeps the bits of
+    the unfolded formula), one one-hot array for softmax_linear and mlp1.
+    The returned function validates nothing; callers check params once.
+    Closed-form means avoid materializing n x p gradient stacks, and the
+    reductions run in a fixed order.
+    """
+    n = x.shape[0]
+    if spec.family == LEAST_SQUARES:
+        yf = np.asarray(y, dtype=np.float64)
+        return lambda params: (x.T @ (x @ params - yf)) / n
+    if spec.family == LOGISTIC:
+        sx = (2.0 * np.asarray(y, dtype=np.float64) - 1.0)[:, None] * x
+        return lambda params: -(sx.T @ expit(-(sx @ params))) / n
+    onehot = _onehot(np.asarray(y, np.int64), spec.classes)
+    if spec.family == SOFTMAX:
+        def grad(params):
+            q = _softmax_rows(x @ unpack_softmax(spec, params)) - onehot
+            return ((x.T @ q) / n).ravel()
+        return grad
+
+    def grad(params):
+        u, w = unpack_mlp(spec, params)
+        a = x @ u.T
+        d = np.where(a > 0, 1.0, spec.leaky_slope)
+        phi = a * d
+        q = _softmax_rows(phi @ w) - onehot
+        back = (q @ w.T) * d               # dl/da, shape (n, m)
+        return np.concatenate([((back.T @ x) / n).ravel(),
+                               ((phi.T @ q) / n).ravel()])
+    return grad
+
+
 def mean_param_grad(spec: ModelSpec, params, ds: Dataset) -> np.ndarray:
     """Average parameter gradient over a dataset, fixed reduction order."""
-    params = check_params(spec, params)
-    x, y = ds.x, ds.y
-    n = x.shape[0]
-    # closed-form means avoid materializing n x p gradient stacks
-    if spec.family == LEAST_SQUARES:
-        r = x @ params - np.asarray(y, dtype=np.float64)
-        return (x.T @ r) / n
-    if spec.family == LOGISTIC:
-        s = 2.0 * np.asarray(y, dtype=np.float64) - 1.0
-        m = s * (x @ params)
-        coef = -expit(-m) * s
-        return (x.T @ coef) / n
-    if spec.family == SOFTMAX:
-        w = unpack_softmax(spec, params)
-        q = _softmax_rows(x @ w) - _onehot(np.asarray(y, np.int64), spec.classes)
-        return ((x.T @ q) / n).ravel()
-    u, w = unpack_mlp(spec, params)
-    a = x @ u.T
-    d = np.where(a > 0, 1.0, spec.leaky_slope)
-    phi = np.where(a > 0, a, spec.leaky_slope * a)
-    q = _softmax_rows(phi @ w) - _onehot(np.asarray(y, np.int64), spec.classes)
-    r = (q @ w.T) * d
-    mean_u = (r.T @ x) / n
-    mean_w = (phi.T @ q) / n
-    return np.concatenate([mean_u.ravel(), mean_w.ravel()])
+    return _mean_grad_fn(spec, ds.x, ds.y)(check_params(spec, params))
 
 
 # ---------------------------------------------------------------------------

@@ -74,16 +74,6 @@ def dumps(obj) -> str:
     return "".join(out) + "\n"
 
 
-def parse_float(value) -> float:
-    if isinstance(value, str):
-        return float(value)
-    return float(value)
-
-
-def loads(text: str):
-    return json.loads(text)
-
-
 def write_text_atomic(path: str, text: str):
     """Write via a temp file in the same directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -128,7 +118,7 @@ def dataset_from_obj(obj: dict) -> Dataset:
         x = np.asarray(obj["x"], dtype=np.float64).reshape(n, d)
         box = None
         if obj.get("domain_box") is not None:
-            box = np.array([[parse_float(lo), parse_float(hi)]
+            box = np.array([[float(lo), float(hi)]
                             for lo, hi in obj["domain_box"]])
         return Dataset(x, np.asarray(obj["y"]), obj["task"],
                        int(obj.get("classes", 2)), box)

@@ -10,8 +10,8 @@ from .attack import AttackOptions, gradient_canceling
 from .data import Dataset
 from .errors import DomainError, TargetSelectionError
 from .mathcore import derive_seed, make_rng
-from .models import (MLP1, ModelSpec, accuracy, check_params,
-                     losses_batch, mean_param_grad)
+from .models import (MLP1, ModelSpec, _mean_grad_fn, accuracy, check_params,
+                     losses_batch)
 from .reachability import tau_threshold
 
 GRAD_ASCENT = "grad_ascent"
@@ -59,6 +59,7 @@ def grad_ascent_corrupt(clean: Dataset, spec: ModelSpec, params0, eps_w: float,
             return params0 + (radius / dn) * delta
         return w
 
+    grad = _mean_grad_fn(spec, clean.x, clean.y)
     best_loss, best_w = -np.inf, params0.copy()
     for r in range(restarts):
         if r == 0:
@@ -67,7 +68,7 @@ def grad_ascent_corrupt(clean: Dataset, spec: ModelSpec, params0, eps_w: float,
             u = rng.standard_normal(params0.size)
             w = project(params0 + 0.5 * radius * u / np.linalg.norm(u))
         for _ in range(steps):
-            g = mean_param_grad(spec, w, clean)
+            g = grad(w)
             gn = float(np.linalg.norm(g))
             if gn == 0.0:
                 break
