@@ -150,17 +150,22 @@ def _project_soft(spec: ModelSpec, soft: np.ndarray) -> np.ndarray:
 
 
 def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
-            clean_range, n):
+            clean_range):
     """Bound-constrained quasi-Newton pass on the canceling objective.
 
     Optimizes the poison features, plus the label targets t when
     free_labels (optimized square-loss labels, which are free reals);
-    otherwise t stays fixed. Returns the improved (features, t) only if
-    the merit actually dropped.
+    otherwise t stays fixed. The residual weights each poison point by
+    eps_d / count, so that is the scale of the objective's exact gradient;
+    the momentum loop's 1/n only sets its step. n_eff = count / eps_d is
+    n itself wherever n * eps_d is the integer count. Returns the improved
+    (features, t), clamped back to the admissible set, only if the merit
+    actually dropped.
     """
     from scipy.optimize import minimize
 
     count, d = xs.shape
+    n_eff = count / eps_d
     x0 = np.concatenate([xs.ravel(), t]) if free_labels else xs.ravel()
 
     if clip_mode == CLIP_NONE:
@@ -178,9 +183,9 @@ def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
         residual, gx, gt = _canceling_pass(spec, target, pts, lab, g_mu, eps_d)
         if not np.all(np.isfinite(residual)):
             raise DomainError("non-finite canceling residual in the polish")
-        grad = gx.ravel() / n
+        grad = gx.ravel() / n_eff
         if free_labels:
-            grad = np.concatenate([grad, gt / n])
+            grad = np.concatenate([grad, gt / n_eff])
         return 0.5 * float(residual @ residual), grad
 
     start, _ = objective(x0)
@@ -188,7 +193,9 @@ def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
                    options={"maxiter": 1000, "ftol": 1e-20, "gtol": 1e-16})
     if not np.isfinite(res.fun) or res.fun >= start:
         return xs, t
-    pts = res.x[:count * d].reshape(count, d)
+    # L-BFGS-B can end a rounding error outside its bounds
+    pts = project_admissible(res.x[:count * d].reshape(count, d), box,
+                             clip_mode, clean_range)
     return pts, (res.x[count * d:].copy() if free_labels else t)
 
 
@@ -300,7 +307,7 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
 
     if opts.polish:
         xs, t = _polish(spec, target, xs, t, free and spec.family == LEAST_SQUARES,
-                        g_mu, eps_d, mu.domain_box, opts.clip_mode, clean_range, n)
+                        g_mu, eps_d, mu.domain_box, opts.clip_mode, clean_range)
 
     if free:
         ys = _harden_labels(spec, t)

@@ -1,10 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poisonlab as pl
-from poisonlab.attack import (AttackOptions, GridDomain, LineDomain,
+from poisonlab.attack import (AttackOptions, GridDomain, LineDomain, _polish,
                               frank_wolfe_attack, gradient_canceling,
                               gradient_matching, project_admissible,
                               reversed_mean_grad)
@@ -197,6 +200,45 @@ class TestGradientCanceling:
                                  AttackOptions(lr=50.0, epochs=800,
                                                optimize_labels=True, seed=2))
         assert res.final_merit < 1e-10
+
+
+class TestPolishGradient:
+    """The gradient the polish hands to L-BFGS-B is its objective's own."""
+
+    @pytest.mark.parametrize("free_labels", [False, True],
+                             ids=["logistic", "least_squares-free-labels"])
+    def test_directional_derivative_matches_central_difference(
+            self, monkeypatch, toy, logistic2, free_labels):
+        # n = 3 and eps_d = 0.52 give count = 2: n * eps_d = 1.56 is not an
+        # integer, so a 1/n scale would overstate the slope 1.28x
+        eps_d = 0.52
+        assert round_half_up(3 * eps_d) == 2
+        if free_labels:
+            clean = pl.gen_gauss_regression(0, n=3, d=1, w_true=[1.0])
+            spec, target = ModelSpec("least_squares", 2), np.array([0.5, -0.3])
+        else:
+            clean, spec, target = toy, logistic2, 2 * W_STAR
+        xs = clean.x[:2].copy()
+        t = clean.y[:2].astype(np.float64)
+        seen = {}
+
+        def capture(fun, x0, **kwargs):
+            seen["fun"], seen["x0"] = fun, x0
+            return SimpleNamespace(fun=np.inf, x=x0)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", capture)
+        _polish(spec, target, xs, t, free_labels,
+                mean_param_grad(spec, target, clean), eps_d,
+                clean.domain_box, "none", None)
+        fun, x0 = seen["fun"], seen["x0"]
+        assert x0.size == xs.size + (2 if free_labels else 0)
+        v = make_rng(4).standard_normal(x0.size)
+        v /= np.linalg.norm(v)
+        h = 1e-6
+        fd = (fun(x0 + h * v)[0] - fun(x0 - h * v)[0]) / (2 * h)
+        slope = float(fun(x0)[1] @ v)
+        assert abs(fd) > 1e-5
+        assert slope == pytest.approx(fd, rel=1e-6)
 
 
 class TestCancelingInvariants:
