@@ -383,7 +383,8 @@ def gradient_matching(clean: Dataset, spec: ModelSpec, target, eps_d: float,
         dissim = 1.0 - cos
         if not np.isfinite(dissim):
             raise AttackDivergence(f"non-finite dissimilarity at epoch {epoch}")
-        trace[epoch] = dissim
+        # 1 - cos lies in [0, 2]; aligned directions can round it below 0
+        trace[epoch] = max(dissim, 0.0)
         # d(dissim)/d(g_nu), then the chain rule through each poison point
         v = -g_rev / (nrm_rev * nrm_nu) + cos * g_nu / (nrm_nu * nrm_nu)
         gx = mixed_vjp_batch(spec, target, xs, ys, v) / count
@@ -393,7 +394,8 @@ def gradient_matching(clean: Dataset, spec: ModelSpec, target, eps_d: float,
 
     g_nu = grads_batch(spec, target, xs, ys).mean(axis=0)
     nrm_nu = float(np.linalg.norm(g_nu))
-    final = 1.0 - float(g_rev @ g_nu) / (nrm_rev * nrm_nu) if nrm_nu > 0 else 1.0
+    final = max(1.0 - float(g_rev @ g_nu) / (nrm_rev * nrm_nu), 0.0) \
+        if nrm_nu > 0 else 1.0
     mix = g_mu + eps_d * g_nu
     poison = Dataset(xs, ys, clean.task, clean.classes, clean.domain_box)
     return AttackResult(poison=poison, merit_trace=trace, final_merit=final,

@@ -196,6 +196,18 @@ class TestCliCommands:
             report = json.loads((tmp_path / f"{name}.json").read_text())
             assert "undefended" in report and "defended" in report
 
+    def test_gradient_matching_trace_has_no_nan(self, tmp_path):
+        # aligned directions round 1 - cos below 0; sqrt of the recorded
+        # dissimilarity must still be a number
+        cfg = ser.read_json(os.path.join(CONFIG_DIR, "d3_leastsq_gm.json"))
+        cfg["output"] = {"poison": str(tmp_path / "poison.json"),
+                         "trace": str(tmp_path / "trace.csv")}
+        run(cfg, base_dir=CONFIG_DIR)
+        text = (tmp_path / "trace.csv").read_text()
+        assert "nan" not in text
+        merits = [float(line.split(",")[1]) for line in text.splitlines()[1:]]
+        assert min(merits) >= 0.0
+
     def test_select_target_pipeline(self, tmp_path):
         cfg = ser.read_json(os.path.join(CONFIG_DIR, "select_target.json"))
         cfg["output"] = {"target": str(tmp_path / "chosen.json")}
