@@ -155,12 +155,10 @@ def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
 
     Optimizes the poison features, plus the label targets t when
     free_labels (optimized square-loss labels, which are free reals);
-    otherwise t stays fixed. The residual weights each poison point by
-    eps_d / count, so that is the scale of the objective's exact gradient;
-    the momentum loop's 1/n only sets its step. n_eff = count / eps_d is
-    n itself wherever n * eps_d is the integer count. Returns the improved
-    (features, t), clamped back to the admissible set, only if the merit
-    actually dropped.
+    otherwise t stays fixed. Each point weighs eps_d / count in the
+    residual, which scales the gradient; n_eff = count / eps_d is n where
+    n * eps_d is an integer. Returns the improved (features, t), clamped
+    to the admissible set, only if the merit actually dropped.
     """
     from scipy.optimize import minimize
 

@@ -63,10 +63,9 @@ def train(spec: ModelSpec, ds: Dataset, opts: TrainOptions | None = None,
 
     Full batch for small datasets, mini-batches of 1000 above 10k
     samples; stops at the epoch budget or when the full-data gradient
-    norm falls below grad_tol. The init is validated once, and the
-    labels are prepared once per training set (once per mini-batch when
-    batching) by `models._mean_grad_fn`, whose unchecked kernel every
-    epoch then calls. Deterministic given (opts, seed).
+    norm falls below grad_tol. The init is validated once; the unchecked
+    `models._mean_grad_fn` kernel is built once per training set (per
+    mini-batch when batching). Deterministic given (opts, seed).
     """
     opts = opts or TrainOptions()
     rng = make_rng(seed, stream=5)

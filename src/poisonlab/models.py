@@ -10,13 +10,12 @@ Four families share one flat-parameter interface:
 
 `mixed_vjp` returns the feature-space gradient of <param_grad(x, y), v>,
 computed from closed forms (the leaky-ReLU kink contributes zero almost
-everywhere). `_mean_grad_fn` prepares a training set's labels once and
-returns an unchecked mean-gradient function: `mean_param_grad` calls it
-after validating params, and the training loops call it every epoch
-after validating their init once. `_canceling_pass` fuses the poison
-mean gradient, the canceling residual and its feature and label
-gradients into one forward pass for the attack's inner loop. All losses use log-sum-exp formulations,
-and batch reductions run in a fixed order so results are bit-reproducible.
+everywhere). `_mean_grad_fn` is the label-prepared, unchecked mean
+gradient that training loops call per epoch. `_canceling_pass` fuses the
+poison mean gradient, the canceling residual and its feature and label
+gradients into one forward pass for the attack's inner loop. All losses
+use log-sum-exp formulations, and batch reductions run in a fixed order
+so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -95,6 +94,14 @@ def unpack_mlp(spec: ModelSpec, params: np.ndarray) -> tuple[np.ndarray, np.ndar
     return u, w
 
 
+def _mlp_forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
+    """mlp1 weights U, W, activation slopes d and features phi = d * (x U^T)."""
+    u, w = unpack_mlp(spec, params)
+    a = x @ u.T
+    d = np.where(a > 0, 1.0, spec.leaky_slope)
+    return u, w, d, a * d
+
+
 def output_block(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
     """The last-layer weight matrix (d-or-m, c) of a classification family."""
     if spec.family == SOFTMAX:
@@ -155,9 +162,7 @@ def losses_batch(spec: ModelSpec, params: np.ndarray, x, y) -> np.ndarray:
     if spec.family == SOFTMAX:
         h = x @ unpack_softmax(spec, params)
     else:
-        u, w = unpack_mlp(spec, params)
-        a = x @ u.T
-        phi = np.where(a > 0, a, spec.leaky_slope * a)
+        _, w, _, phi = _mlp_forward(spec, params, x)
         h = phi @ w
     z = h - h.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1)) + h.max(axis=1)
@@ -192,10 +197,7 @@ def grads_batch(spec: ModelSpec, params: np.ndarray, x, y) -> np.ndarray:
         q = _softmax_rows(x @ w) - _onehot(yi, spec.classes)
         # per sample: x outer q, flattened row-major to match params layout
         return np.einsum("ni,nk->nik", x, q).reshape(n, -1)
-    u, w = unpack_mlp(spec, params)
-    a = x @ u.T
-    d = np.where(a > 0, 1.0, spec.leaky_slope)
-    phi = np.where(a > 0, a, spec.leaky_slope * a)
+    _, w, d, phi = _mlp_forward(spec, params, x)
     q = _softmax_rows(phi @ w) - _onehot(yi, spec.classes)
     r = (q @ w.T) * d                      # dl/da, shape (n, m)
     grad_u = np.einsum("nm,ni->nmi", r, x).reshape(n, -1)
@@ -208,15 +210,11 @@ def param_grad(spec: ModelSpec, params, x, y) -> np.ndarray:
 
 
 def _mean_grad_fn(spec: ModelSpec, x: np.ndarray, y):
-    """Unchecked `params -> mean parameter gradient` over the rows (x, y).
+    """Unchecked closed-form `params -> mean gradient` over (x, y).
 
-    The labels are prepared once per training set: float targets for
-    least_squares, the sign s = 2y - 1 folded into the features for
-    logistic_binary (s is +-1, so every product and sum keeps the bits of
-    the unfolded formula), one one-hot array for softmax_linear and mlp1.
-    The returned function validates nothing; callers check params once.
-    Closed-form means avoid materializing n x p gradient stacks, and the
-    reductions run in a fixed order.
+    Labels are prepared once: the logistic sign s = 2y - 1 is folded into
+    the features (s = +-1 keeps every bit), softmax and mlp1 get one
+    one-hot array. Callers validate params.
     """
     n = x.shape[0]
     if spec.family == LEAST_SQUARES:
@@ -233,10 +231,7 @@ def _mean_grad_fn(spec: ModelSpec, x: np.ndarray, y):
         return grad
 
     def grad(params):
-        u, w = unpack_mlp(spec, params)
-        a = x @ u.T
-        d = np.where(a > 0, 1.0, spec.leaky_slope)
-        phi = a * d
+        _, w, d, phi = _mlp_forward(spec, params, x)
         q = _softmax_rows(phi @ w) - onehot
         back = (q @ w.T) * d               # dl/da, shape (n, m)
         return np.concatenate([((back.T @ x) / n).ravel(),
@@ -292,13 +287,10 @@ def mixed_vjp_batch(spec: ModelSpec, params: np.ndarray, x, y,
         s = x @ vm
         return q @ vm.T + _jp_apply(p, s) @ w.T
 
-    u, w = unpack_mlp(spec, params)
+    u, w, d, phi = _mlp_forward(spec, params, x)
     cut = spec.hidden * spec.input_dim
     vu = v[:cut].reshape(spec.hidden, spec.input_dim)
     vw = v[cut:].reshape(spec.hidden, spec.classes)
-    a = x @ u.T
-    d = np.where(a > 0, 1.0, spec.leaky_slope)
-    phi = np.where(a > 0, a, spec.leaky_slope * a)
     p = _softmax_rows(phi @ w)
     q = p - _onehot(np.asarray(y, np.int64).ravel(), spec.classes)
     # <grad_W l, Vw> = phi^T Vw q ; <grad_U l, Vu> = (D (W q))^T Vu x
@@ -362,10 +354,7 @@ def _canceling_pass(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
         s = xr @ vm
         gx = q[sel] @ vm.T + _jp_apply(p[sel], s) @ w.T
         return residual, gx, -s
-    u, w = unpack_mlp(spec, params)
-    a = x @ u.T
-    d = np.where(a > 0, 1.0, spec.leaky_slope)
-    phi = a * d
+    u, w, d, phi = _mlp_forward(spec, params, x)
     p = _softmax_rows(phi @ w)
     q = p - t
     back = (q @ w.T) * d                   # dl/da, shape (n, m)
@@ -397,9 +386,8 @@ def predict_batch(spec: ModelSpec, params: np.ndarray, x) -> np.ndarray:
     if spec.family == SOFTMAX:
         h = x @ unpack_softmax(spec, params)
     else:
-        u, w = unpack_mlp(spec, params)
-        a = x @ u.T
-        h = np.where(a > 0, a, spec.leaky_slope * a) @ w
+        _, w, _, phi = _mlp_forward(spec, params, x)
+        h = phi @ w
     return np.argmax(h, axis=1).astype(np.int64)
 
 
