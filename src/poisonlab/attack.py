@@ -23,6 +23,11 @@ discretized domain.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -149,6 +154,46 @@ def _project_soft(spec: ModelSpec, soft: np.ndarray) -> np.ndarray:
     return project_simplex_rows(soft)
 
 
+@functools.cache
+def _scipy_blas_threads():
+    """(get, set) thread count of scipy's bundled OpenBLAS, or None."""
+    import scipy
+
+    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads"):
+            get, put = (lib.scipy_openblas_get_num_threads,
+                        lib.scipy_openblas_set_num_threads)
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _serial_scipy_blas():
+    """Run scipy's own BLAS on one thread inside the block, then restore.
+
+    L-BFGS-B's BLAS calls are too small to split: on 2 cores a second
+    thread made a 15-variable solve 9x slower, and its spinning worker
+    halved the caller's speed for the next 0.1 s. It also makes the
+    polish independent of the core count. A no-op without the bundled
+    OpenBLAS.
+    """
+    ctl = _scipy_blas_threads()
+    if ctl is None:
+        yield
+        return
+    get, put = ctl
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
             clean_range):
     """Bound-constrained quasi-Newton pass on the canceling objective.
@@ -187,8 +232,10 @@ def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
         return 0.5 * float(residual @ residual), grad
 
     start, _ = objective(x0)
-    res = minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                   options={"maxiter": 1000, "ftol": 1e-20, "gtol": 1e-16})
+    with _serial_scipy_blas():
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B",
+                       bounds=bounds, options={"maxiter": 1000, "ftol": 1e-20,
+                                               "gtol": 1e-16})
     if not np.isfinite(res.fun) or res.fun >= start:
         return xs, t
     # L-BFGS-B can end a rounding error outside its bounds

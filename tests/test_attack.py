@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import poisonlab as pl
 from poisonlab.attack import (AttackOptions, GridDomain, LineDomain, _polish,
+                              _scipy_blas_threads, _serial_scipy_blas,
                               frank_wolfe_attack, gradient_canceling,
                               gradient_matching, project_admissible,
                               reversed_mean_grad)
@@ -411,3 +412,42 @@ class TestAtomReplication:
         fw = frank_wolfe_attack(clean, spec, target, 0.5, domain, 30)
         poison = pl.atoms_to_poison(fw, 1, clean)
         assert poison.n == 1
+
+
+class TestSerialScipyBlas:
+    @pytest.fixture
+    def threads(self):
+        ctl = _scipy_blas_threads()
+        if ctl is None:
+            pytest.skip("scipy build without its bundled OpenBLAS")
+        get, put = ctl
+        before = get()
+        put(2)
+        yield get
+        put(before)
+
+    def test_one_thread_inside_then_restored(self, threads):
+        with _serial_scipy_blas():
+            assert threads() == 1
+        assert threads() == 2
+
+    def test_restored_after_an_exception(self, threads):
+        with pytest.raises(RuntimeError):
+            with _serial_scipy_blas():
+                raise RuntimeError("inside")
+        assert threads() == 2
+
+    def test_polish_solves_on_one_thread(self, threads, monkeypatch,
+                                         logistic3):
+        seen = []
+        real = scipy.optimize.minimize
+
+        def spy(*args, **kwargs):
+            seen.append(threads())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", spy)
+        gradient_canceling(OR_CLEAN, logistic3, np.array([0.5, 0.5, -0.2]),
+                           0.3, AttackOptions(epochs=5))
+        assert seen == [1]
+        assert threads() == 2
