@@ -14,6 +14,7 @@ import difflib
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from .defense import dpa_predict, dpa_train, sever_filter
 from .errors import (AttackDivergence, ConfigError, IdxFormatError,
                      PoisonLabError)
 from .harness import (SWEEP_COLUMNS, TrainOptions, retrain_and_eval,
-                      sweep_cell, sweep_heatmap, train)
+                      sweep_heatmap, train)
 from .mathcore import derive_seed
 from .models import ModelSpec, accuracy
 from .reachability import ratio_to_lambda, tau_threshold
@@ -203,6 +204,8 @@ def validate_config(cfg: dict, base_dir: str = ".") -> dict:
             if not os.path.exists(path):
                 raise ConfigError(f"{key} file not found: {obj['path']!r}")
             obj["path"] = path
+    if pipe in ("sweep", "select_target") and not cfg.get("targets"):
+        raise ConfigError(f"{pipe} needs a nonempty targets list")
     targets = cfg.get("targets", [cfg["target"]] if "target" in cfg else [])
     for t in targets:
         if t.get("source") not in _TARGET_SOURCES:
@@ -238,10 +241,6 @@ def _out_path(cfg: dict, key: str, default: str) -> str:
     if key in out:
         return out[key]
     return os.path.join(out.get("dir", "."), default)
-
-
-def _sweep_worker(payload):
-    return sweep_cell(*payload)
 
 
 def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
@@ -289,17 +288,11 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
                    for i, t in enumerate(cfg["targets"])]
         eps = cfg["eps_d"]
         eps_list = [float(e) for e in (eps if isinstance(eps, list) else [eps])]
-        if jobs <= 1:
-            rows = sweep_heatmap(clean, test, spec, targets, eps_list,
-                                 gc_opts, base_seed=seed, train_opts=train_opts)
-        else:
-            clean_params = train(spec, clean, train_opts, seed)
-            payloads = [(clean, test, spec, t, ti, e, gc_opts,
-                         derive_seed(seed, ti, ei), train_opts, clean_params)
-                        for ti, t in enumerate(targets)
-                        for ei, e in enumerate(eps_list)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_sweep_worker, payloads))
+        with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+              else nullcontext()) as pool:
+            rows = sweep_heatmap(clean, test, spec, targets, eps_list, gc_opts,
+                                 base_seed=seed, train_opts=train_opts,
+                                 map_cells=pool.map if pool else map)
         csv_path = _out_path(cfg, "csv", "sweep.csv")
         ser.write_text_atomic(csv_path, ser.csv_lines(SWEEP_COLUMNS, rows))
         outputs["csv"] = csv_path

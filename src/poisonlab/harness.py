@@ -1,4 +1,4 @@
-"""Training, retraining on mixed data, evaluation reports, and sweep engines."""
+"""Training, retraining on mixed data, evaluation reports, and the sweep engine."""
 
 from __future__ import annotations
 
@@ -29,9 +29,6 @@ class TrainOptions:
     batch_size: int | None = None  # None: full batch up to 10k samples, then 1000
     grad_tol: float = 1e-8
     init_scale: float = 0.01
-    # divide lr by the estimated loss smoothness when it exceeds 1, so
-    # retraining stays stable on mixtures containing far-out poison
-    auto_scale_lr: bool = True
 
 
 @dataclass(frozen=True)
@@ -75,9 +72,9 @@ def train(spec: ModelSpec, ds: Dataset, opts: TrainOptions | None = None,
         batch = _DEFAULT_SGD_BATCH
     if batch is not None and batch >= ds.n:
         batch = None
-    lr = opts.lr
-    if opts.auto_scale_lr:
-        lr = lr / max(1.0, _smoothness_bound(spec, ds))
+    # divide lr by the estimated loss smoothness when it exceeds 1, so
+    # retraining stays stable on mixtures containing far-out poison
+    lr = opts.lr / max(1.0, _smoothness_bound(spec, ds))
 
     grad = _mean_grad_fn(spec, ds.x, ds.y)
     vel = np.zeros_like(params)
@@ -199,13 +196,18 @@ def sweep_cell(clean: Dataset, test: Dataset, spec: ModelSpec, target,
 
 def sweep_heatmap(clean: Dataset, test: Dataset, spec: ModelSpec,
                   target_grid, eps_list, gc_opts: AttackOptions | None = None,
-                  base_seed: int = 0,
-                  train_opts: TrainOptions | None = None) -> list[dict]:
+                  base_seed: int = 0, train_opts: TrainOptions | None = None,
+                  map_cells=map) -> list[dict]:
     """Run every (target, eps_d) cell and emit rows in target-major order.
 
-    Per-cell seeds derive from (base_seed, target index, eps index), so
-    the table is identical no matter how cells are scheduled. Per-cell
-    attack failures land in the row's error column instead of aborting.
+    The only sweep engine: it validates the grid, trains the clean model
+    once, and seeds and orders the cells. `map_cells` chooses where they
+    run; it is called as `map_cells(sweep_cell, *columns)` with one finite
+    iterable per `sweep_cell` argument and must return the rows in cell
+    order, as builtin `map` and `ProcessPoolExecutor.map` do. Per-cell
+    seeds derive from (base_seed, target index, eps index), so the table
+    is identical wherever cells run. Per-cell attack failures land in the
+    row's error column instead of aborting.
     """
     target_grid = [np.asarray(t, dtype=np.float64).ravel() for t in target_grid]
     eps_list = [float(e) for e in eps_list]
@@ -214,10 +216,8 @@ def sweep_heatmap(clean: Dataset, test: Dataset, spec: ModelSpec,
     gc_opts = gc_opts or AttackOptions()
     opts = train_opts or TrainOptions()
     clean_params = train(spec, clean, opts, base_seed)
-    rows = []
-    for ti, target in enumerate(target_grid):
-        for ei, eps in enumerate(eps_list):
-            seed = derive_seed(base_seed, ti, ei)
-            rows.append(sweep_cell(clean, test, spec, target, ti, eps,
-                                   gc_opts, seed, opts, clean_params))
-    return rows
+    cells = [(clean, test, spec, target, ti, eps, gc_opts,
+              derive_seed(base_seed, ti, ei), opts, clean_params)
+             for ti, target in enumerate(target_grid)
+             for ei, eps in enumerate(eps_list)]
+    return list(map_cells(sweep_cell, *zip(*cells)))

@@ -29,8 +29,8 @@ from scipy.optimize import linprog, minimize_scalar
 from .data import Dataset
 from .errors import DomainError
 from .mathcore import lambert_w0
-from .models import (LEAST_SQUARES, LOGISTIC, MLP1, SOFTMAX, ModelSpec,
-                     check_params, mean_param_grad, output_block, unpack_mlp)
+from .models import (LEAST_SQUARES, LOGISTIC, MLP1, ModelSpec, check_params,
+                     mean_param_grad, output_block)
 
 DEGENERATE_NONE = "none"
 DEGENERATE_ZERO_GRAD = "zero_grad"
@@ -60,13 +60,10 @@ def alignment(spec: ModelSpec, params, ds: Dataset) -> float:
     """
     params = check_params(spec, params)
     g = mean_param_grad(spec, params, ds)
-    if spec.family in (LEAST_SQUARES, LOGISTIC):
-        return float(params @ g)
-    if spec.family == SOFTMAX:
-        return float(params @ g)  # trace(W^T G) in flat coordinates
-    w_blk = output_block(spec, params)
-    cut = spec.hidden * spec.input_dim
-    return float(w_blk.ravel() @ g[cut:])
+    if spec.family == MLP1:
+        cut = spec.hidden * spec.input_dim
+        return float(output_block(spec, params).ravel() @ g[cut:])
+    return float(params @ g)  # for softmax, trace(W^T G) in flat coordinates
 
 
 _LOSS_DERIVS = {}
@@ -303,9 +300,5 @@ def nn_necessary_tau(spec: ModelSpec, params, ds: Dataset) -> float:
     """
     if spec.family != MLP1:
         raise DomainError("nn_necessary_tau applies to mlp1 only")
-    params = check_params(spec, params)
-    g = mean_param_grad(spec, params, ds)
-    cut = spec.hidden * spec.input_dim
-    w_blk = unpack_mlp(spec, params)[1]
-    align = float(w_blk.ravel() @ g[cut:])
+    align = alignment(spec, params, ds)
     return max(align / lambert_w0((spec.classes - 1) / np.e), 0.0)

@@ -19,6 +19,9 @@ RANDOM = "random"
 SCALED = "scaled"
 EXTERNAL = "external"
 
+# seeded starts of the projected ascent, the first at the trained params
+_ASCENT_RESTARTS = 4
+
 
 @dataclass(frozen=True)
 class TargetCandidate:
@@ -29,8 +32,7 @@ class TargetCandidate:
 
 
 def grad_ascent_corrupt(clean: Dataset, spec: ModelSpec, params0, eps_w: float,
-                        steps: int = 20, seed: int = 0,
-                        restarts: int = 4) -> TargetCandidate:
+                        steps: int = 20, seed: int = 0) -> TargetCandidate:
     """Corrupt a trained parameter by projected ascent on the clean loss.
 
     Walks `steps` normalized-gradient steps of length eps_w*|w0|/steps,
@@ -41,8 +43,8 @@ def grad_ascent_corrupt(clean: Dataset, spec: ModelSpec, params0, eps_w: float,
     params0 = check_params(spec, params0)
     if eps_w < 0:
         raise DomainError("eps_w must be >= 0")
-    if steps < 1 or restarts < 1:
-        raise DomainError("steps and restarts must be >= 1")
+    if steps < 1:
+        raise DomainError("steps must be >= 1")
     if eps_w == 0.0:
         return TargetCandidate(params0.copy(), 0.0, GRAD_ASCENT)
     norm0 = float(np.linalg.norm(params0))
@@ -61,7 +63,7 @@ def grad_ascent_corrupt(clean: Dataset, spec: ModelSpec, params0, eps_w: float,
 
     grad = _mean_grad_fn(spec, clean.x, clean.y)
     best_loss, best_w = -np.inf, params0.copy()
-    for r in range(restarts):
+    for r in range(_ASCENT_RESTARTS):
         if r == 0:
             w = params0.copy()
         else:
@@ -79,8 +81,7 @@ def grad_ascent_corrupt(clean: Dataset, spec: ModelSpec, params0, eps_w: float,
     return TargetCandidate(best_w, eps_w, GRAD_ASCENT)
 
 
-def random_corrupt(params0, eps_w: float, seed: int = 0,
-                   spec: ModelSpec | None = None) -> TargetCandidate:
+def random_corrupt(params0, eps_w: float, seed: int = 0) -> TargetCandidate:
     """w0 plus eps_w*|w0| times a uniformly random unit direction."""
     params0 = np.asarray(params0, dtype=np.float64).ravel()
     if eps_w < 0:

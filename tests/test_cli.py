@@ -1,5 +1,6 @@
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poisonlab as pl
+from poisonlab import cli
 from poisonlab import serialize as ser
 from poisonlab.cli import (EXIT_CONFIG, EXIT_DATA, main, resolve_dataset, run,
                            validate_config)
 from poisonlab.errors import ConfigError
-from poisonlab.harness import SWEEP_COLUMNS
+from poisonlab.harness import SWEEP_COLUMNS, sweep_cell
+from poisonlab.mathcore import derive_seed
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -88,6 +91,15 @@ class TestResolveAndValidate:
                "eps_d": 1.0}
         with pytest.raises(ConfigError):
             validate_config(cfg)
+
+    def test_removed_train_option_is_config_error(self, tmp_path):
+        cfg = {"pipeline": "attack", "dataset": {"generator": "or", "reps": 5},
+               "model": {"family": "logistic_binary"},
+               "target": {"source": "inline", "values": [0.0, 0.0, 0.1]},
+               "eps_d": 1.0, "train": {"auto_scale_lr": True},
+               "output": {"dir": str(tmp_path)}}
+        with pytest.raises(ConfigError, match="unknown TrainOptions keys"):
+            run(cfg)
 
     def test_all_shipped_configs_parse(self):
         for name in os.listdir(CONFIG_DIR):
@@ -172,6 +184,26 @@ class TestCliCommands:
         assert lines[0].startswith(
             "target_id,w1,w2,tau,eps_d,acc_drop,grad_norm,final_merit")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("command", [["sweep", "--jobs", "1"],
+                                         ["sweep", "--jobs", "2"],
+                                         ["select-target"]],
+                             ids=["sweep_jobs1", "sweep_jobs2",
+                                  "select_target"])
+    @pytest.mark.parametrize("targets", [
+        {"target": {"source": "inline", "values": [-0.7, -0.7, 0.35]}},
+        {"targets": []}], ids=["singular_target", "empty_targets"])
+    def test_target_grid_required(self, tmp_path, command, targets):
+        cfg = {"dataset": {"generator": "or", "seed": 0, "reps": 5},
+               "test_dataset": {"generator": "or", "seed": 900, "reps": 5},
+               "model": {"family": "logistic_binary"},
+               "eps_d": [0.5] if command[0] == "sweep" else 0.5,
+               "output": {"dir": str(tmp_path)}, **targets}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = [command[0], "--config", str(cfg_path), *command[1:]]
+        assert main(argv) == EXIT_CONFIG
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     def test_defend_pipelines(self, tmp_path):
         for name, defense in (("sever", {"name": "sever", "rounds": 2}),
@@ -259,7 +291,17 @@ class TestCliCommands:
         assert open(out_b).read() != open(out_a).read()
         assert open(out_b).read() == open(out_c).read()
 
-    def test_parallel_sweep_matches_serial(self, tmp_path):
+    def test_parallel_sweep_matches_serial(self, tmp_path, monkeypatch):
+        served = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def map(self, fn, *columns, **kwargs):
+                columns = [list(c) for c in columns]
+                served.append((fn, list(zip(*columns))))
+                return super().map(fn, *columns, **kwargs)
+
+        # the pool is looked up by this name at run time
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         base = {
             "pipeline": "sweep",
             "seed": 3,
@@ -275,7 +317,14 @@ class TestCliCommands:
         serial = dict(base, output={"csv": str(tmp_path / "serial.csv")})
         parallel = dict(base, output={"csv": str(tmp_path / "par.csv")})
         run(json.loads(json.dumps(serial)), jobs=1)
+        assert served == []
         run(json.loads(json.dumps(parallel)), jobs=2)
+        [(fn, cells)] = served
+        assert fn is sweep_cell
+        # one sweep_cell argument tuple per cell, target-major
+        assert [(c[4], c[5], c[7]) for c in cells] == \
+            [(ti, e, derive_seed(3, ti, ei))
+             for ti in range(2) for ei, e in enumerate([0.5, 1.5])]
         assert (tmp_path / "serial.csv").read_text() == \
             (tmp_path / "par.csv").read_text()
 

@@ -111,6 +111,22 @@ class TestSweep:
             [(0, 0.4), (0, 0.9), (1, 0.4), (1, 0.9)]
         assert all(set(SWEEP_COLUMNS) == set(r) for r in rows)
 
+    def test_map_cells_maps_every_cell_once(self, or_data, or_test, logistic3):
+        targets = [np.array([-0.7, -0.7, 0.35]), np.array([-1.0, -0.7, 0.4])]
+        opts = AttackOptions(epochs=30, lr=2.0)
+        mapped = []
+
+        def recording_map(fn, *columns):
+            cells = list(zip(*columns))
+            mapped.extend((c[4], c[5]) for c in cells)
+            return [fn(*c) for c in cells]
+
+        rows = sweep_heatmap(or_data, or_test, logistic3, targets, [0.4, 0.9],
+                             opts, base_seed=0, map_cells=recording_map)
+        assert mapped == [(0, 0.4), (0, 0.9), (1, 0.4), (1, 0.9)]
+        assert rows == sweep_heatmap(or_data, or_test, logistic3, targets,
+                                     [0.4, 0.9], opts, base_seed=0)
+
     def test_cell_error_propagates(self, or_data, or_test, logistic3):
         # eps too small for even one poison point -> error column, no raise
         rows = sweep_heatmap(or_data, or_test, logistic3,
