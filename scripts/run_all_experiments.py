@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Run every shipped synthetic experiment config in sequence.
 
-The MNIST variants are skipped unless an IDX directory exists at
-data/mnist relative to the repository root.
+Every config is validated before the first one runs, so a bad key fails
+at once. The MNIST variants are skipped unless an IDX directory exists
+at data/mnist relative to the repository root.
 """
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from poisonlab.cli import run
+from poisonlab.cli import run, validate_config
+from poisonlab.errors import ConfigError
 from poisonlab.serialize import read_json
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -33,8 +35,13 @@ if __name__ == "__main__":
     names = list(SYNTHETIC)
     if os.path.isdir(os.path.join(ROOT, "data", "mnist")):
         names += MNIST
-    for name in names:
-        path = os.path.join(ROOT, "configs", name)
+    paths = [os.path.join(ROOT, "configs", name) for name in names]
+    for path in paths:
+        try:
+            validate_config(read_json(path), base_dir=os.path.dirname(path))
+        except ConfigError as exc:
+            sys.exit(f"{os.path.basename(path)}: config error: {exc}")
+    for name, path in zip(names, paths):
         print(f"== {name}")
         outputs = run(read_json(path), base_dir=os.path.dirname(path))
         for key, out in outputs.items():

@@ -39,7 +39,8 @@ from .mathcore import make_rng
 from .models import (LEAST_SQUARES, LOGISTIC, ModelSpec, _canceling_pass,
                      _onehot, check_params, grads_batch, losses_batch,
                      mean_param_grad, mixed_vjp_batch)
-from .optim import project_simplex_rows, round_half_up, schedule_lr
+from .optim import (check_descent_options, project_simplex_rows,
+                    round_half_up, schedule_lr)
 
 CLIP_BOX = "box"
 CLIP_CLEAN_RANGE = "clean_range"
@@ -76,12 +77,7 @@ class AttackOptions:
     polish: bool = True
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise DomainError("epochs must be >= 1")
-        if self.lr <= 0:
-            raise DomainError("lr must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise DomainError("momentum must lie in [0, 1)")
+        check_descent_options(self)
         if self.clip_mode not in (CLIP_BOX, CLIP_CLEAN_RANGE, CLIP_NONE):
             raise DomainError(f"unknown clip_mode {self.clip_mode!r}")
 

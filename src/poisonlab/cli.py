@@ -5,17 +5,25 @@ attack, retrain, sweep, defend. JSON in, JSON/CSV out; all writes are
 atomic (temp file + rename). The environment variable POISONLAB_SEED
 overrides every config or flag seed. Exit codes: 0 success, 2 config
 error, 3 data error, 4 attack divergence, 1 anything else.
+
+A pipeline config is checked once, by `validate_config`, against its
+pipeline's table in `_SCHEMAS`: the one statement of the keys a config
+may hold, with each key's type, range or names and default. The
+pipelines read only the normalised copy it returns.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import math
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -25,12 +33,13 @@ from .attack import (AttackOptions, GridDomain, LineDomain, frank_wolfe_attack,
                      gradient_canceling, gradient_matching)
 from .data import Dataset, concat
 from .defense import dpa_predict, dpa_train, sever_filter
-from .errors import (AttackDivergence, ConfigError, IdxFormatError,
-                     PoisonLabError)
+from .errors import (AttackDivergence, ConfigError, DomainError,
+                     IdxFormatError, PoisonLabError)
 from .harness import (SWEEP_COLUMNS, TrainOptions, retrain_and_eval,
                       sweep_heatmap, train)
 from .mathcore import derive_seed
-from .models import ModelSpec, accuracy
+from .models import FAMILIES, ModelSpec, accuracy
+from .optim import round_half_up
 from .reachability import ratio_to_lambda, tau_threshold
 from .targetgen import (TargetCandidate, grad_ascent_corrupt, random_corrupt,
                         scale_params, select_target)
@@ -39,12 +48,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
-
-_GENERATORS = ("or", "gauss_class", "gauss_reg", "toy3", "mnist", "file")
-_ATTACKS = ("gradient_canceling", "gradient_matching", "frank_wolfe")
-_DEFENSES = ("sever", "dpa")
-_TARGET_SOURCES = ("inline", "file", "grad_ascent", "random", "scaled")
-_PIPELINES = ("attack", "sweep", "defend", "select_target")
 
 
 def _suggest(name: str, known) -> str:
@@ -63,270 +66,413 @@ def _env_seed(default: int) -> int:
         raise ConfigError(f"POISONLAB_SEED must be an integer, got {raw!r}") from exc
 
 
-def _options_from(obj: dict, cls):
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(obj) - allowed
+# ---------------------------------------------------------------------------
+# the config schema
+#
+# A table maps each key to (kind, default) or (kind, default, bound). A key
+# left out takes its default, checked like a given value; _REQUIRED marks a
+# key that must be given, and a key whose default is None also takes null.
+# Kinds: int, float, numbers.Real, bool, str, _PATH (an input file, joined to
+# the config's directory), a tuple of names, [kind] (a nonempty list), a dict
+# (a nested table) or a checker called as kind(value, where, base_dir).
+
+_REQUIRED = object()
+_PATH = "path"
+_BOUNDS = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+           ">= 2": lambda v: v >= 2, "> 0": lambda v: v > 0,
+           "in (0, 1)": lambda v: 0 < v < 1}
+
+
+def _check(kind, v, where: str, base_dir: str, bound=None):
+    """Value `v` of the config key named `where`, normalised to `kind`."""
+    if isinstance(kind, dict):
+        return _check_table(kind, v, where, base_dir)
+    if isinstance(kind, tuple):
+        if v not in kind:
+            raise ConfigError(f"{where}: {_suggest(str(v), kind)}")
+        return v
+    if isinstance(kind, list):
+        if not isinstance(v, (list, tuple)) or not v:
+            raise ConfigError(f"{where} must be a nonempty list, got {v!r}")
+        return [_check(kind[0], x, f"{where}[{i}]", base_dir, bound)
+                for i, x in enumerate(v)]
+    if kind in (int, float, numbers.Real):  # Real: any number, kept as given
+        if isinstance(v, numbers.Real) and not isinstance(v, bool) \
+                and math.isfinite(v) and (kind is not int or v == int(v)) \
+                and (bound is None or _BOUNDS[bound](v)):
+            return v if kind is numbers.Real else kind(v)
+        want = ("an integer" if kind is int else "a number") + (
+            f" {bound}" if bound else "")
+        raise ConfigError(f"{where} must be {want}, got {v!r}")
+    if kind is bool:
+        if not isinstance(v, bool):
+            raise ConfigError(f"{where} must be true or false, got {v!r}")
+        return v
+    if kind not in (str, _PATH):
+        return kind(v, where, base_dir)
+    if not isinstance(v, str) or not v:
+        raise ConfigError(f"{where} must be a nonempty string, got {v!r}")
+    if kind is str:
+        return v
+    if not os.path.exists(os.path.join(base_dir, v)):
+        raise ConfigError(f"{where}: file not found: {v!r}")
+    return os.path.join(base_dir, v)
+
+
+def _check_table(table: dict, obj, where: str, base_dir: str, label=None):
+    """A new dict holding every key of `table`, checked or defaulted."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    out = {}
+    for key, (kind, default, *bound) in table.items():
+        name = f"{where}.{key}" if where else key
+        if key not in obj and default is _REQUIRED:
+            raise ConfigError(f"{name} is required")
+        value = obj[key] if key in obj else default
+        if value is None and default is None:
+            out[key] = None
+        else:
+            out[key] = _check(kind, value, name, base_dir, *bound)
+    unknown = sorted(set(obj) - set(table))
     if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}"
-                          f" (allowed: {sorted(allowed)})")
-    try:
-        return cls(**obj)
-    except (TypeError, PoisonLabError) as exc:
-        raise ConfigError(f"bad {cls.__name__}: {exc}") from exc
+        close = difflib.get_close_matches(unknown[0], table, n=1)
+        hint = f"; did you mean {close[0]}?" if close else ""
+        raise ConfigError(f"unknown {label or where} keys: {unknown}"
+                          f" (allowed: {sorted(table)}){hint}")
+    return out
 
 
-def resolve_dataset(obj, seed: int) -> Dataset:
-    """Build a dataset from a config object or a shorthand name."""
+def _pick(tag: str, tables: dict, default=_REQUIRED):
+    """An object whose `tag` key, or `default`, names its table."""
+    def check(obj, where, base_dir):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{where} must be an object, got {obj!r}")
+        if tag not in obj and default is _REQUIRED:
+            raise ConfigError(f"{where}.{tag} is required")
+        name = _check(tuple(tables), obj[tag] if tag in obj else default,
+                      f"{where}.{tag}", base_dir)
+        rest = {k: v for k, v in obj.items() if k != tag}
+        return {tag: name, **_check(tables[name], rest, where, base_dir)}
+    return check
+
+
+def _one_of(table: dict, *keys):
+    """A table in which at least one of `keys` (default None) is given."""
+    def check(obj, where, base_dir):
+        out = _check_table(table, obj, where, base_dir)
+        if all(out[k] is None for k in keys):
+            raise ConfigError(f"{where} needs {' or '.join(keys)}")
+        return out
+    return check
+
+
+def _options(cls):
+    """Table entry for the options dataclass `cls`: its fields, types and
+    defaults; an instance's own range checks apply too."""
+    hints = get_type_hints(cls)
+    table = {f.name: (int if hints[f.name] == int | None else hints[f.name],
+                      f.default) for f in fields(cls)}
+
+    def check(obj, where, base_dir):
+        out = _check_table(table, obj, where, base_dir, cls.__name__)
+        try:
+            cls(**out)
+        except PoisonLabError as exc:
+            raise ConfigError(f"{where}: bad {cls.__name__}: {exc}") from exc
+        return out
+    return check, {}
+
+
+def _output(**files):
+    """Table entry for the output paths, relative to the working directory:
+    `dir`, and one key per file that defaults to its name inside `dir`."""
+    table = {"dir": (str, "."), **{key: (str, None) for key in files}}
+
+    def check(obj, where, base_dir):
+        out = _check_table(table, obj, where, base_dir)
+        return {**out, **{key: os.path.join(out["dir"], name)
+                          for key, name in files.items() if out[key] is None}}
+    return check, {}
+
+
+_SEED = {"seed": (int, None)}  # None: the run's seed
+_DATASET = _pick("generator", {
+    "or": {**_SEED, "reps": (int, 50, ">= 1"),
+           "noise_sigma": (float, 0.05, ">= 0")},
+    "gauss_class": {**_SEED, "n": (int, 1000, ">= 2"), "d": (int, 10, ">= 1"),
+                    "sep": (float, 2.0, ">= 0")},
+    "gauss_reg": {**_SEED, "n": (int, 500, ">= 1"),
+                  "w_true": ([float], _REQUIRED), "noise": (float, 0.0)},
+    "toy3": _SEED,
+    # dir is read relative to the working directory, when it is loaded
+    "mnist": {**_SEED, "dir": (str, _REQUIRED),
+              "split": (("train", "test"), "train"),
+              "keep_classes": ([int], None, ">= 0")},
+    "file": {**_SEED, "path": (_PATH, _REQUIRED)},
+}, default="file")
+
+
+def _dataset(obj, where, base_dir):
+    """A dataset object, or a shorthand name or file path for one."""
     if isinstance(obj, str):
-        shorthand = {"or": {"generator": "or"},
-                     "gauss10": {"generator": "gauss_class"},
-                     "toy3": {"generator": "toy3"}}
-        if obj in shorthand:
-            obj = shorthand[obj]
-        elif os.path.exists(obj):
-            obj = {"generator": "file", "path": obj}
-        else:
-            raise ConfigError(_suggest(obj, tuple(shorthand) + ("<path>",)))
-    if "path" in obj and "generator" not in obj:
-        obj = {**obj, "generator": "file"}
-    gen = obj.get("generator")
-    if gen not in _GENERATORS:
-        raise ConfigError(_suggest(str(gen), _GENERATORS))
-    seed = int(obj.get("seed", seed))
-    if gen == "or":
-        return datamod.gen_or(seed, reps=int(obj.get("reps", 50)),
-                              noise_sigma=float(obj.get("noise_sigma", 0.05)))
-    if gen == "gauss_class":
-        return datamod.gen_gauss_classification(
-            seed, n=int(obj.get("n", 1000)), d=int(obj.get("d", 10)),
-            sep=float(obj.get("sep", 2.0)))
-    if gen == "gauss_reg":
-        w_true = obj.get("w_true")
-        if w_true is None:
-            raise ConfigError("gauss_reg needs w_true")
-        return datamod.gen_gauss_regression(
-            seed, n=int(obj.get("n", 500)), d=len(w_true),
-            w_true=np.asarray(w_true, dtype=np.float64),
-            noise=float(obj.get("noise", 0.0)))
-    if gen == "toy3":
-        return datamod.toy_three_points()
-    if gen == "mnist":
-        keep = obj.get("keep_classes")
-        train_ds, test_ds = datamod.load_mnist(
-            obj["dir"], set(keep) if keep is not None else None)
-        return test_ds if obj.get("split") == "test" else train_ds
-    path = obj.get("path")
-    if not path or not os.path.exists(path):
-        raise ConfigError(f"dataset file not found: {path!r}")
-    return ser.dataset_from_obj(ser.read_json(path))
+        obj = {"or": {"generator": "or"}, "toy3": {"generator": "toy3"},
+               "gauss10": {"generator": "gauss_class"}}.get(obj, {"path": obj})
+    out = _DATASET(obj, where, base_dir)
+    if out["generator"] == "gauss_reg" and out["n"] < len(out["w_true"]):
+        raise ConfigError(f"{where}.n must be >= len(w_true), got {out['n']}")
+    return out
 
 
-def resolve_model(obj: dict, ds: Dataset) -> ModelSpec:
-    obj = dict(obj)
-    obj.setdefault("input_dim", ds.dim)
-    if ds.task == datamod.CLASSIFICATION:
-        obj.setdefault("classes", ds.classes)
-    return ser.spec_from_obj(obj)
+def _eps_list(v, where, base_dir):
+    """sweep's eps_d: one budget or a nonempty list of them."""
+    return _check([float], v if isinstance(v, (list, tuple)) else [v], where,
+                  base_dir, "> 0")
 
 
-def resolve_target(obj: dict, clean: Dataset, spec: ModelSpec,
-                   train_opts: TrainOptions, seed: int) -> np.ndarray:
-    source = obj.get("source")
-    if source not in _TARGET_SOURCES:
-        raise ConfigError(_suggest(str(source), _TARGET_SOURCES))
-    if source == "inline":
-        return np.asarray(obj["values"], dtype=np.float64).ravel()
-    if source == "file":
-        path = obj.get("path")
-        if not path or not os.path.exists(path):
-            raise ConfigError(f"target file not found: {path!r}")
-        return ser.params_from_obj(ser.read_json(path))
-    if source == "scaled":
-        if "path" in obj:
-            base = ser.params_from_obj(ser.read_json(obj["path"]))
-        else:
-            base = np.asarray(obj["values"], dtype=np.float64).ravel()
-        return scale_params(spec, base, float(obj["s"]))
-    base = train(spec, clean, train_opts, seed)
-    if source == "grad_ascent":
-        cand = grad_ascent_corrupt(clean, spec, base, float(obj["eps_w"]),
-                                   steps=int(obj.get("steps", 20)), seed=seed)
-    else:
-        cand = random_corrupt(base, float(obj["eps_w"]), seed=seed)
-    return cand.params
+# input_dim and classes default (None) to the dataset's
+_MODEL = {"family": (FAMILIES, _REQUIRED), "input_dim": (int, None, ">= 1"),
+          "classes": (int, None, ">= 2"), "hidden": (int, 0, ">= 0"),
+          "leaky_slope": (float, 0.2)}
+_EPS_W = (float, None, ">= 0")  # on a given target: a label for select_target
+_TARGET = _pick("source", {
+    "inline": {"values": ([float], _REQUIRED), "eps_w": _EPS_W},
+    "file": {"path": (_PATH, _REQUIRED), "eps_w": _EPS_W},
+    "scaled": _one_of({"s": (float, _REQUIRED, "> 0"), "path": (_PATH, None),
+                       "values": ([float], None), "eps_w": _EPS_W},
+                      "path", "values"),
+    "grad_ascent": {"eps_w": (float, _REQUIRED, ">= 0"),
+                    "steps": (int, 20, ">= 1")},
+    "random": {"eps_w": (float, _REQUIRED, ">= 0")},
+})
+_OPTIONS = {"options": _options(AttackOptions)}
+_ATTACKS = {"gradient_canceling": _OPTIONS, "gradient_matching": _OPTIONS,
+            "frank_wolfe": {**_OPTIONS, "domain": (_one_of({
+                "alpha_grid": ([float], None), "axes": ([[float]], None),
+                # class indices, or real targets for regression
+                "labels": ([numbers.Real], [0, 1]), "iters": (int, 500, ">= 1"),
+                "step_rule": (("open_loop", "line_search"), "open_loop"),
+            }, "alpha_grid", "axes"), _REQUIRED)}}
 
 
-def _run_named_attack(name: str, clean: Dataset, spec: ModelSpec, target,
-                      eps_d: float, opts: AttackOptions, fw_obj: dict | None):
-    if name == "gradient_canceling":
-        return gradient_canceling(clean, spec, target, eps_d, opts)
-    if name == "gradient_matching":
-        return gradient_matching(clean, spec, target, eps_d, opts)
-    if name == "frank_wolfe":
-        fw_obj = fw_obj or {}
-        if "alpha_grid" in fw_obj:
-            domain = LineDomain(alpha_grid=tuple(fw_obj["alpha_grid"]),
-                                labels=tuple(fw_obj.get("labels", [0, 1])))
-        else:
-            domain = GridDomain(axes=tuple(tuple(a) for a in fw_obj["axes"]),
-                                labels=tuple(fw_obj.get("labels", [0, 1])))
-        return frank_wolfe_attack(clean, spec, target, eps_d, domain,
-                                  t_iters=int(fw_obj.get("iters", 500)),
-                                  step_rule=fw_obj.get("step_rule", "open_loop"))
-    raise ConfigError(_suggest(name, _ATTACKS))
+def _attack(*names):
+    return _pick("name", {name: _ATTACKS[name] for name in names},
+                 default="gradient_canceling"), {}
+
+
+_COMMON = {"pipeline": (str, _REQUIRED), "seed": (int, 0),
+           "dataset": (_dataset, _REQUIRED), "model": (_MODEL, _REQUIRED),
+           "train": _options(TrainOptions)}
+_GRID = {"test_dataset": (_dataset, _REQUIRED),
+         "targets": ([_TARGET], _REQUIRED)}
+_EPS_D = (float, 1.0, "> 0")
+_SCHEMAS = {
+    "attack": {**_COMMON, "target": (_TARGET, _REQUIRED), "eps_d": _EPS_D,
+               "attack": _attack(*_ATTACKS),
+               "output": _output(poison="poison.json", trace="trace.csv",
+                                 atoms="fw_atoms.json")},
+    "sweep": {**_COMMON, **_GRID, "eps_d": (_eps_list, 1.0),
+              "attack": _attack("gradient_canceling"),
+              "output": _output(csv="sweep.csv")},
+    # test_dataset is select_target's validation set, never held-out data
+    "select_target": {**_COMMON, **_GRID, "eps_d": _EPS_D,
+                      "attack": _attack("gradient_canceling"),
+                      "output": _output(target="target.json")},
+    "defend": {**_COMMON, "test_dataset": (_dataset, _REQUIRED),
+               "target": (_TARGET, _REQUIRED), "eps_d": _EPS_D,
+               "attack": _attack("gradient_canceling", "gradient_matching"),
+               # sever's fraction defaults to eps_d / (1 + eps_d)
+               "defense": (_pick("name", {
+                   "sever": {"fraction": (float, None, "in (0, 1)"),
+                             "rounds": (int, 2, ">= 1")},
+                   "dpa": {"k": (int, _REQUIRED, ">= 1")}}), _REQUIRED),
+               "output": _output(report="defense.json")},
+}
 
 
 def validate_config(cfg: dict, base_dir: str = ".") -> dict:
-    """Schema and existence checks; returns the config with defaults filled."""
+    """Check a config against its pipeline's table in `_SCHEMAS` and return
+    a new, normalised config: every default filled in, scalars coerced and
+    input `path` entries joined to `base_dir`. `cfg` is left unchanged."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    pipe = cfg.get("pipeline")
-    if pipe not in _PIPELINES:
-        raise ConfigError(_suggest(str(pipe), _PIPELINES))
-    if "dataset" not in cfg:
-        raise ConfigError("config needs a dataset")
-    if "model" not in cfg:
-        raise ConfigError("config needs a model")
-    attack_obj = cfg.get("attack", {"name": "gradient_canceling"})
-    if attack_obj.get("name", "gradient_canceling") not in _ATTACKS:
-        raise ConfigError(_suggest(str(attack_obj.get("name")), _ATTACKS))
-    if "defense" in cfg and cfg["defense"].get("name") not in _DEFENSES:
-        raise ConfigError(_suggest(str(cfg["defense"].get("name")), _DEFENSES))
-    eps = cfg.get("eps_d", 1.0)
-    eps_list = eps if isinstance(eps, list) else [eps]
-    if not eps_list or any(float(e) <= 0 for e in eps_list):
-        raise ConfigError("eps_d entries must be positive")
-    for key in ("dataset", "test_dataset"):
-        obj = cfg.get(key)
-        if isinstance(obj, dict) and obj.get("generator", "file") == "file" \
-                and "path" in obj:
-            path = os.path.join(base_dir, obj["path"])
-            if not os.path.exists(path):
-                raise ConfigError(f"{key} file not found: {obj['path']!r}")
-            obj["path"] = path
-    if pipe in ("sweep", "select_target") and not cfg.get("targets"):
-        raise ConfigError(f"{pipe} needs a nonempty targets list")
-    targets = cfg.get("targets", [cfg["target"]] if "target" in cfg else [])
-    for t in targets:
-        if t.get("source") not in _TARGET_SOURCES:
-            raise ConfigError(_suggest(str(t.get("source")), _TARGET_SOURCES))
-        if t.get("source") == "file":
-            path = os.path.join(base_dir, t["path"])
-            if not os.path.exists(path):
-                raise ConfigError(f"target file not found: {t['path']!r}")
-            t["path"] = path
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("output", {})
-    return cfg
+    pipe = _check(tuple(_SCHEMAS), cfg.get("pipeline"), "pipeline", base_dir)
+    out = _check_table(_SCHEMAS[pipe], cfg, "", base_dir, f"{pipe} config")
+    if pipe == "defend" and out["defense"]["name"] == "sever" \
+            and out["defense"]["fraction"] is None:
+        out["defense"]["fraction"] = ratio_to_lambda(out["eps_d"])
+    return out
 
 
-def _prepare(cfg: dict):
-    seed = _env_seed(int(cfg.get("seed", 0)))
-    train_opts = _options_from(cfg.get("train", {}), TrainOptions)
-    clean = resolve_dataset(cfg["dataset"], seed)
-    spec = resolve_model(cfg["model"], clean)
-    test = None
-    if "test_dataset" in cfg:
-        test = resolve_dataset(cfg["test_dataset"], derive_seed(seed, "test"))
-    attack_obj = dict(cfg.get("attack", {}))
-    name = attack_obj.pop("name", "gradient_canceling")
-    fw_obj = attack_obj.pop("domain", None)
-    gc_opts = _options_from(attack_obj.get("options", {}), AttackOptions)
-    gc_opts = replace(gc_opts, seed=derive_seed(seed, "attack"))
-    return seed, train_opts, clean, spec, test, name, gc_opts, fw_obj
+# ---------------------------------------------------------------------------
+# building from a normalised config
+
+def _build_dataset(obj: dict, seed: int) -> Dataset:
+    seed = seed if obj["seed"] is None else obj["seed"]
+    gen = obj["generator"]
+    if gen == "or":
+        return datamod.gen_or(seed, reps=obj["reps"],
+                              noise_sigma=obj["noise_sigma"])
+    if gen == "gauss_class":
+        return datamod.gen_gauss_classification(seed, n=obj["n"], d=obj["d"],
+                                                sep=obj["sep"])
+    if gen == "gauss_reg":
+        w_true = obj["w_true"]
+        return datamod.gen_gauss_regression(seed, n=obj["n"], d=len(w_true),
+                                            w_true=w_true, noise=obj["noise"])
+    if gen == "toy3":
+        return datamod.toy_three_points()
+    if gen == "mnist":
+        keep = obj["keep_classes"]
+        try:
+            train_ds, test_ds = datamod.load_mnist(
+                obj["dir"], set(keep) if keep is not None else None)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"MNIST directory {obj['dir']!r}: no file"
+                              f" {exc.filename!r}") from exc
+        return test_ds if obj["split"] == "test" else train_ds
+    return ser.dataset_from_obj(ser.read_json(obj["path"]))
 
 
-def _out_path(cfg: dict, key: str, default: str) -> str:
-    out = cfg.get("output", {})
-    if key in out:
-        return out[key]
-    return os.path.join(out.get("dir", "."), default)
+def resolve_dataset(obj, seed: int) -> Dataset:
+    """Check and build a dataset from a config object or a shorthand name
+    or file path; the flag-style subcommands' entry point."""
+    return _build_dataset(_dataset(obj, "dataset", "."), seed)
+
+
+def resolve_model(obj: dict, ds: Dataset) -> ModelSpec:
+    """Build the spec of a normalised model object for dataset `ds`."""
+    if obj["input_dim"] not in (None, ds.dim):
+        raise ConfigError(f"model.input_dim is {obj['input_dim']}, the"
+                          f" dataset has {ds.dim} features")
+    classes = obj["classes"]
+    if classes is None:
+        classes = ds.classes if ds.task == datamod.CLASSIFICATION else 2
+    try:
+        return ModelSpec(obj["family"], ds.dim, classes, obj["hidden"],
+                         obj["leaky_slope"])
+    except DomainError as exc:
+        raise ConfigError(f"model: {exc}") from exc
+
+
+def resolve_target(obj: dict, clean: Dataset, spec: ModelSpec,
+                   train_opts: TrainOptions, seed: int,
+                   where: str = "target") -> np.ndarray:
+    """Parameters of a normalised target object."""
+    source = obj["source"]
+    if source in ("grad_ascent", "random"):
+        base = train(spec, clean, train_opts, seed)
+        if source == "random":
+            return random_corrupt(base, obj["eps_w"], seed=seed).params
+        return grad_ascent_corrupt(clean, spec, base, obj["eps_w"],
+                                   steps=obj["steps"], seed=seed).params
+    if source == "file" or (source == "scaled" and obj["path"] is not None):
+        key, values = "path", ser.params_from_obj(ser.read_json(obj["path"]))
+    else:
+        key, values = "values", np.asarray(obj["values"], dtype=np.float64)
+    if values.size != spec.param_dim:
+        raise ConfigError(f"{where}.{key}: {values.size} parameter values,"
+                          f" {spec.family} needs {spec.param_dim}")
+    if source == "scaled":
+        return scale_params(spec, values, obj["s"])
+    return values
+
+
+def _run_named_attack(attack: dict, clean: Dataset, spec: ModelSpec, target,
+                      eps_d: float, opts: AttackOptions):
+    if attack["name"] == "gradient_canceling":
+        return gradient_canceling(clean, spec, target, eps_d, opts)
+    if attack["name"] == "gradient_matching":
+        return gradient_matching(clean, spec, target, eps_d, opts)
+    fw = attack["domain"]
+    labels = tuple(fw["labels"])
+    if fw["alpha_grid"] is not None:
+        domain = LineDomain(alpha_grid=tuple(fw["alpha_grid"]), labels=labels)
+    else:
+        domain = GridDomain(axes=tuple(tuple(a) for a in fw["axes"]),
+                            labels=labels)
+    return frank_wolfe_attack(clean, spec, target, eps_d, domain,
+                              t_iters=fw["iters"], step_rule=fw["step_rule"])
 
 
 def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
-    """Dispatch a validated config to its pipeline; returns output paths."""
+    """Validate a config, run its pipeline and return the output paths."""
     cfg = validate_config(cfg, base_dir)
-    seed, train_opts, clean, spec, test, name, gc_opts, fw_obj = _prepare(cfg)
-    pipe = cfg["pipeline"]
-    outputs = {}
+    seed = _env_seed(cfg["seed"])
+    train_opts = TrainOptions(**cfg["train"])
+    clean = _build_dataset(cfg["dataset"], seed)
+    spec = resolve_model(cfg["model"], clean)
+    test = None
+    if "test_dataset" in cfg:
+        test = _build_dataset(cfg["test_dataset"], derive_seed(seed, "test"))
+    if cfg["pipeline"] != "sweep" and cfg["attack"]["name"] != "frank_wolfe" \
+            and round_half_up(clean.n * cfg["eps_d"]) < 1:
+        raise ConfigError(f"eps_d: {cfg['eps_d']} of {clean.n} clean points"
+                          " rounds to no poison point")
+    gc_opts = AttackOptions(**{**cfg["attack"]["options"],
+                               "seed": derive_seed(seed, "attack")})
+    pipe, out, eps_d = cfg["pipeline"], cfg["output"], cfg["eps_d"]
 
     if pipe == "attack":
         target = resolve_target(cfg["target"], clean, spec, train_opts, seed)
-        eps_d = float(cfg["eps_d"])
-        result = _run_named_attack(name, clean, spec, target, eps_d,
-                                   gc_opts, fw_obj)
-        if name == "frank_wolfe":
-            atoms_path = _out_path(cfg, "atoms", "fw_atoms.json")
-            ser.write_json_atomic(atoms_path, {
+        result = _run_named_attack(cfg["attack"], clean, spec, target, eps_d,
+                                   gc_opts)
+        if cfg["attack"]["name"] == "frank_wolfe":
+            ser.write_json_atomic(out["atoms"], {
                 "weights": result.weights[result.weights > 0].tolist(),
                 "atoms_x": result.atom_x[result.weights > 0].tolist(),
                 "atoms_y": result.atom_y[result.weights > 0].tolist(),
             })
-            outputs["atoms"] = atoms_path
+            outputs = {"atoms": out["atoms"]}
             trace_rows = [{"epoch": i, "merit": float(m),
                            "grad_norm": float(np.sqrt(2 * m)) / (1 + eps_d)}
                           for i, m in enumerate(result.objective_trace)]
         else:
-            poison_path = _out_path(cfg, "poison", "poison.json")
-            ser.write_json_atomic(poison_path, ser.dataset_to_obj(result.poison))
-            outputs["poison"] = poison_path
+            ser.write_json_atomic(out["poison"], ser.dataset_to_obj(result.poison))
+            outputs = {"poison": out["poison"]}
             norms = result.grad_norm_trace
             trace_rows = [{"epoch": i, "merit": float(m),
                            "grad_norm": float(norms[i])}
                           for i, m in enumerate(result.merit_trace)]
-        trace_path = _out_path(cfg, "trace", "trace.csv")
-        ser.write_text_atomic(trace_path, ser.csv_lines(
+        ser.write_text_atomic(out["trace"], ser.csv_lines(
             ("epoch", "merit", "grad_norm"), trace_rows))
-        outputs["trace"] = trace_path
+        outputs["trace"] = out["trace"]
         return outputs
 
     if pipe == "sweep":
-        if test is None:
-            raise ConfigError("sweep needs a test_dataset")
         targets = [resolve_target(t, clean, spec, train_opts,
-                                  derive_seed(seed, "target", i))
+                                  derive_seed(seed, "target", i),
+                                  f"targets[{i}]")
                    for i, t in enumerate(cfg["targets"])]
-        eps = cfg["eps_d"]
-        eps_list = [float(e) for e in (eps if isinstance(eps, list) else [eps])]
         with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
               else nullcontext()) as pool:
-            rows = sweep_heatmap(clean, test, spec, targets, eps_list, gc_opts,
+            rows = sweep_heatmap(clean, test, spec, targets, eps_d, gc_opts,
                                  base_seed=seed, train_opts=train_opts,
                                  map_cells=pool.map if pool else map)
-        csv_path = _out_path(cfg, "csv", "sweep.csv")
-        ser.write_text_atomic(csv_path, ser.csv_lines(SWEEP_COLUMNS, rows))
-        outputs["csv"] = csv_path
-        return outputs
+        ser.write_text_atomic(out["csv"], ser.csv_lines(SWEEP_COLUMNS, rows))
+        return {"csv": out["csv"]}
 
     if pipe == "select_target":
-        if test is None:
-            raise ConfigError("select_target needs a test_dataset as validation"
-                              " (never the held-out test set)")
-        candidates = []
-        for i, t in enumerate(cfg["targets"]):
-            params = resolve_target(t, clean, spec, train_opts,
-                                    derive_seed(seed, "target", i))
-            candidates.append(TargetCandidate(
-                params, eps_w=float(t.get("eps_w", float("nan"))),
-                provenance=t["source"] if t["source"] in
-                ("grad_ascent", "random", "scaled") else "external"))
-        chosen = select_target(candidates, float(cfg["eps_d"]), clean, test,
-                               spec, gc_opts)
-        out_path = _out_path(cfg, "target", "target.json")
+        # test_dataset serves as the validation set here, never as the
+        # held-out test set
+        candidates = [TargetCandidate(
+            resolve_target(t, clean, spec, train_opts,
+                           derive_seed(seed, "target", i), f"targets[{i}]"),
+            eps_w=math.nan if t["eps_w"] is None else t["eps_w"],
+            provenance=t["source"] if t["source"] in
+            ("grad_ascent", "random", "scaled") else "external")
+            for i, t in enumerate(cfg["targets"])]
+        chosen = select_target(candidates, eps_d, clean, test, spec, gc_opts)
         obj = ser.params_to_obj(chosen.params, spec)
         obj["provenance"] = chosen.provenance
         obj["tau"] = chosen.tau
         obj["eps_w"] = chosen.eps_w
-        ser.write_json_atomic(out_path, obj)
-        outputs["target"] = out_path
-        return outputs
+        ser.write_json_atomic(out["target"], obj)
+        return {"target": out["target"]}
 
     # defend: attack, retrain with and without the defense, report both
-    if test is None:
-        raise ConfigError("defend needs a test_dataset")
     target = resolve_target(cfg["target"], clean, spec, train_opts, seed)
-    eps_d = float(cfg["eps_d"])
-    result = _run_named_attack(name, clean, spec, target, eps_d, gc_opts, None)
+    result = _run_named_attack(cfg["attack"], clean, spec, target, eps_d,
+                               gc_opts)
     rep = tau_threshold(spec, target, clean) if spec.is_classification else None
     tau = rep.tau if rep else 0.0
     base_clean = result.kept_clean if result.kept_clean is not None else clean
@@ -336,18 +482,16 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
     mixed = concat(base_clean, result.poison)
     report = {"undefended": asdict(undefended), "eps_d": eps_d, "tau": tau}
     if defense["name"] == "sever":
-        lam = ratio_to_lambda(eps_d)
-        fraction = float(defense.get("fraction", lam))
         mixed_params = train(spec, mixed, train_opts, seed)
-        filtered = sever_filter(mixed, spec, mixed_params, fraction,
-                                rounds=int(defense.get("rounds", 2)),
+        filtered = sever_filter(mixed, spec, mixed_params, defense["fraction"],
+                                rounds=defense["rounds"],
                                 train_opts=train_opts,
                                 seed=derive_seed(seed, "sever"))
         defended = retrain_and_eval(filtered, None, test, spec, target, seed,
                                     train_opts, eps_d=eps_d, tau=tau)
         report["defended"] = asdict(defended)
     else:
-        k = int(defense["k"])
+        k = defense["k"]
         ensemble = dpa_train(mixed, spec, k, seed=derive_seed(seed, "dpa"),
                              train_opts=train_opts)
         correct = certified = 0
@@ -361,10 +505,8 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
             "certified_accuracy": 100.0 * certified / test.n,
             "k": k,
         }
-    out_path = _out_path(cfg, "report", "defense.json")
-    ser.write_json_atomic(out_path, report)
-    outputs["report"] = out_path
-    return outputs
+    ser.write_json_atomic(out["report"], report)
+    return {"report": out["report"]}
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +528,7 @@ def cmd_gen_data(args) -> int:
     elif args.generator == "gauss_class":
         obj.update(n=args.n, d=args.d, sep=args.sep)
     elif args.generator == "gauss_reg":
-        if not args.w_true:
-            raise ConfigError("gauss_reg needs --w-true")
-        obj.update(n=args.n, w_true=[float(v) for v in args.w_true],
-                   noise=args.noise)
+        obj.update(n=args.n, w_true=args.w_true, noise=args.noise)
     ds = resolve_dataset(obj, seed)
     ser.write_json_atomic(args.out, ser.dataset_to_obj(ds))
     return EXIT_OK
@@ -405,7 +544,7 @@ def _load_model(args, ds: Dataset) -> ModelSpec:
         obj["classes"] = args.classes
     if args.hidden:
         obj["hidden"] = args.hidden
-    return resolve_model(obj, ds)
+    return resolve_model(_check(_MODEL, obj, "model", "."), ds)
 
 
 def cmd_train(args) -> int:
@@ -434,27 +573,22 @@ def cmd_make_target(args) -> int:
     seed = _env_seed(args.seed)
     ds = resolve_dataset(args.data, seed)
     spec = _load_model(args, ds)
-    obj = {"source": args.mode.replace("-", "_")}
-    if args.mode in ("grad-ascent", "random"):
-        obj["eps_w"] = args.eps_w
-        obj["steps"] = args.steps
-    else:
-        if not args.params0:
+    base = (ser.params_from_obj(ser.read_json(args.params0)) if args.params0
+            else None)
+    if args.mode == "scaled":
+        if base is None:
             raise ConfigError("scaled mode needs --params0")
-        obj["path"] = args.params0
-        obj["s"] = args.scale
-    if args.params0 and args.mode != "scaled":
-        base = ser.params_from_obj(ser.read_json(args.params0))
-        if args.mode == "grad-ascent":
-            cand = grad_ascent_corrupt(ds, spec, base, args.eps_w,
-                                       steps=args.steps, seed=seed)
-        else:
-            cand = random_corrupt(base, args.eps_w, seed=seed)
-        params = cand.params
+        params = scale_params(spec, base, args.scale)
     else:
-        params = resolve_target(obj, ds, spec, TrainOptions(), seed)
+        if base is None:
+            base = train(spec, ds, TrainOptions(), seed)
+        if args.mode == "grad-ascent":
+            params = grad_ascent_corrupt(ds, spec, base, args.eps_w,
+                                         steps=args.steps, seed=seed).params
+        else:
+            params = random_corrupt(base, args.eps_w, seed=seed).params
     out = ser.params_to_obj(params, spec)
-    out["provenance"] = obj["source"]
+    out["provenance"] = args.mode.replace("-", "_")
     ser.write_json_atomic(args.out, out)
     return EXIT_OK
 
@@ -475,10 +609,10 @@ def cmd_retrain(args) -> int:
 
 def _config_cmd(args, pipeline: str) -> int:
     cfg = ser.read_json(args.config)
-    if cfg.get("pipeline", pipeline) != pipeline:
-        raise ConfigError(f"config pipeline {cfg.get('pipeline')!r} does not"
+    if isinstance(cfg, dict) \
+            and cfg.setdefault("pipeline", pipeline) != pipeline:
+        raise ConfigError(f"config pipeline {cfg['pipeline']!r} does not"
                           f" match subcommand {pipeline!r}")
-    cfg["pipeline"] = pipeline
     outputs = run(cfg, jobs=getattr(args, "jobs", 1),
                   base_dir=os.path.dirname(os.path.abspath(args.config)))
     for key, path in outputs.items():
@@ -502,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--d", type=int, default=10)
     sp.add_argument("--sep", type=float, default=2.0)
-    sp.add_argument("--w-true", nargs="*", default=None)
+    sp.add_argument("--w-true", nargs="*", type=float, default=None)
     add_common(sp)
     sp.set_defaults(func=cmd_gen_data)
 

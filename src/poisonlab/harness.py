@@ -13,7 +13,7 @@ from .errors import AttackDivergence, DomainError, PoisonLabError
 from .mathcore import derive_seed, make_rng, top_singular_vector
 from .models import (ModelSpec, _mean_grad_fn, accuracy, check_params,
                      mean_param_grad)
-from .optim import schedule_lr
+from .optim import check_descent_options, schedule_lr
 from .reachability import tau_threshold
 
 _SGD_SWITCH_N = 10_000
@@ -29,6 +29,9 @@ class TrainOptions:
     batch_size: int | None = None  # None: full batch up to 10k samples, then 1000
     grad_tol: float = 1e-8
     init_scale: float = 0.01
+
+    def __post_init__(self):
+        check_descent_options(self)
 
 
 @dataclass(frozen=True)

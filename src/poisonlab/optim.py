@@ -18,6 +18,20 @@ def schedule_lr(lr: float, schedule: str, epoch: int, total: int) -> float:
     raise DomainError(f"unknown schedule {schedule!r}")
 
 
+def check_descent_options(opts) -> None:
+    """Range checks shared by the attack's and training's option sets."""
+    if opts.epochs < 1:
+        raise DomainError("epochs must be >= 1")
+    if opts.lr <= 0:
+        raise DomainError("lr must be positive")
+    if not 0.0 <= opts.momentum < 1.0:
+        raise DomainError("momentum must lie in [0, 1)")
+    if opts.schedule not in (COSINE, CONSTANT):
+        raise DomainError(f"unknown schedule {opts.schedule!r}")
+    if opts.batch_size is not None and opts.batch_size < 1:
+        raise DomainError("batch_size must be >= 1")
+
+
 def project_simplex_rows(s: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row onto the probability simplex."""
     s = np.asarray(s, dtype=np.float64)

@@ -94,8 +94,12 @@ def write_json_atomic(path: str, obj):
 
 
 def read_json(path: str):
-    with open(path) as f:
-        return json.load(f)
+    """Parse a JSON file; a missing or malformed one is a ConfigError."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read JSON from {path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import contextlib
+import copy
+import io
 import json
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -17,6 +21,20 @@ from poisonlab.harness import SWEEP_COLUMNS, sweep_cell
 from poisonlab.mathcore import derive_seed
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+# attack and defend configs that must exit 2 naming the key; None deletes
+SINGLE_TARGET_ERRORS = {
+    "targets_list": ({"target": None, "targets": [
+        {"source": "inline", "values": [-0.07, -0.07, 0.035]}]},
+        "target is required"),
+    "short_values": ({"target": {"source": "inline", "values": [0.1]}},
+                     "target.values"),
+    "null_value": ({"target": {"source": "inline", "values": [0.1, None, 0.1]}},
+                   "target.values[1]"),
+    "negative_eps_w": ({"target": {"source": "random", "eps_w": -1}},
+                       "target.eps_w"),
+    "negative_rounds": ({"defense": {"name": "sever", "rounds": -1}},
+                        "defense.rounds"),
+}
 
 
 class TestSerialize:
@@ -104,9 +122,40 @@ class TestResolveAndValidate:
     def test_all_shipped_configs_parse(self):
         for name in os.listdir(CONFIG_DIR):
             cfg = ser.read_json(os.path.join(CONFIG_DIR, name))
-            if "mnist" in name:
-                continue  # requires user-supplied IDX files
             validate_config(cfg, base_dir=CONFIG_DIR)
+
+    def test_validate_returns_new_normalised_config(self, tmp_path):
+        ds = pl.gen_or(seed=1, reps=3)
+        (tmp_path / "clean.json").write_text(ser.dumps(ser.dataset_to_obj(ds)))
+        (tmp_path / "w.json").write_text(ser.dumps(
+            ser.params_to_obj(np.array([-0.7, -0.7, 0.35]))))
+        relative = {"pipeline": "attack",
+                    "dataset": {"path": "clean.json"},
+                    "model": {"family": "logistic_binary"},
+                    "target": {"source": "file", "path": "w.json"}}
+        cases = [(relative, str(tmp_path))] + [
+            (ser.read_json(os.path.join(CONFIG_DIR, name)), CONFIG_DIR)
+            for name in sorted(os.listdir(CONFIG_DIR))]
+        for cfg, base_dir in cases:
+            before = copy.deepcopy(cfg)
+            out = validate_config(cfg, base_dir=base_dir)
+            assert cfg == before
+            assert out is not cfg and out["output"] is not cfg.get("output")
+        out = validate_config(relative, base_dir=str(tmp_path))
+        assert out["dataset"] == {"generator": "file", "seed": None,
+                                  "path": str(tmp_path / "clean.json")}
+        assert out["target"]["path"] == str(tmp_path / "w.json")
+        assert out["seed"] == 0 and out["eps_d"] == 1.0
+        assert out["output"] == {"dir": ".", "poison": "./poison.json",
+                                 "trace": "./trace.csv",
+                                 "atoms": "./fw_atoms.json"}
+        assert out["attack"]["options"] == vars(pl.AttackOptions())
+        assert out["train"] == vars(pl.TrainOptions())
+        # Frank-Wolfe labels are class indices or real regression targets
+        fw = {"name": "frank_wolfe",
+              "domain": {"alpha_grid": [0, 1], "labels": [-1.5, 2]}}
+        out = validate_config({**relative, "attack": fw}, str(tmp_path))
+        assert out["attack"]["domain"]["labels"] == [-1.5, 2]
 
 
 class TestCliCommands:
@@ -190,10 +239,23 @@ class TestCliCommands:
                                          ["select-target"]],
                              ids=["sweep_jobs1", "sweep_jobs2",
                                   "select_target"])
-    @pytest.mark.parametrize("targets", [
-        {"target": {"source": "inline", "values": [-0.7, -0.7, 0.35]}},
-        {"targets": []}], ids=["singular_target", "empty_targets"])
-    def test_target_grid_required(self, tmp_path, command, targets):
+    @pytest.mark.parametrize("targets, key", [
+        ({"target": {"source": "inline", "values": [-0.7, -0.7, 0.35]}},
+         "targets"),
+        ({"targets": []}, "targets"),
+        ({"targets": [{"source": "grad_ascent", "eps_w": -1}]},
+         "targets[0].eps_w"),
+        ({"targets": [{"source": "grad_ascent", "eps_w": 0.5, "steps": -1}]},
+         "targets[0].steps"),
+        ({"targets": [{"source": "random", "eps_w": 0.5},
+                      {"source": "inline", "values": [-0.7]}]},
+         "targets[1].values"),
+        ({"targets": [{"source": "inline", "values": [-0.7, None, 0.35]}]},
+         "targets[0].values[1]")],
+        ids=["singular_target", "empty_targets", "negative_eps_w",
+             "negative_steps", "short_values", "null_value"])
+    def test_target_grid_required(self, tmp_path, capsys, command, targets,
+                                  key):
         cfg = {"dataset": {"generator": "or", "seed": 0, "reps": 5},
                "test_dataset": {"generator": "or", "seed": 900, "reps": 5},
                "model": {"family": "logistic_binary"},
@@ -203,6 +265,31 @@ class TestCliCommands:
         cfg_path.write_text(json.dumps(cfg))
         argv = [command[0], "--config", str(cfg_path), *command[1:]]
         assert main(argv) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    @pytest.mark.parametrize("pipeline, change, key", [
+        (pipeline, change, key) for pipeline in ("attack", "defend")
+        for change, key in SINGLE_TARGET_ERRORS.values()
+        if pipeline == "defend" or "defense" not in change],
+        ids=[f"{pipeline}-{name}" for pipeline in ("attack", "defend")
+             for name in SINGLE_TARGET_ERRORS
+             if pipeline == "defend" or name != "negative_rounds"])
+    def test_single_target_required(self, tmp_path, capsys, pipeline, change,
+                                    key):
+        cfg = {"dataset": {"generator": "or", "seed": 5, "reps": 5},
+               "model": {"family": "logistic_binary"},
+               "target": {"source": "inline", "values": [-0.07, -0.07, 0.035]},
+               "eps_d": 0.1, "output": {"dir": str(tmp_path)}}
+        if pipeline == "defend":
+            cfg.update(test_dataset={"generator": "or", "seed": 905, "reps": 5},
+                       defense={"name": "sever"})
+        cfg.update(change)
+        cfg = {k: v for k, v in cfg.items() if v is not None}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([pipeline, "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     def test_defend_pipelines(self, tmp_path):
@@ -275,6 +362,25 @@ class TestCliCommands:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["attack", "--config", str(cfg_path)]) == EXIT_DATA
+
+    def test_unreadable_json_exit_code(self, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text('{"pipeline": "attack",')
+        cfg = {"pipeline": "attack", "dataset": {"path": "bad.json"},
+               "model": {"family": "logistic_binary"},
+               "target": {"source": "inline", "values": [0.0, 0.0, 0.1]}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        for name in ("missing.json", "bad.json", "cfg.json"):
+            argv = ["attack", "--config", str(tmp_path / name)]
+            assert main(argv) == EXIT_CONFIG
+            assert "cannot read JSON" in capsys.readouterr().err
+
+    def test_missing_mnist_dir_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the shipped MNIST config reads data/mnist from the working directory
+        monkeypatch.chdir(tmp_path)
+        cfg_path = os.path.join(CONFIG_DIR, "fig2_mnist17.json")
+        assert main(["sweep", "--config", cfg_path, "--jobs", "1"]) == EXIT_CONFIG
+        assert "'data/mnist'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         out_a = str(tmp_path / "a.json")
@@ -378,3 +484,61 @@ class TestCliCommands:
         assert abs(sum(atoms["weights"]) - 1.0) <= 1e-9
         lines = (tmp_path / "fw_trace.csv").read_text().splitlines()
         assert lines[0] == "epoch,merit,grad_norm" and len(lines) == 202
+
+
+MUTATED_CONFIGS = ("d6_toy_blocked", "defense_sever", "fig1_small",
+                   "select_target", "d3_leastsq_gc")
+DELETE = "<delete>"
+
+
+def _key_paths(obj, prefix=()):
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+def _mutations():
+    for name in MUTATED_CONFIGS:
+        cfg = ser.read_json(os.path.join(CONFIG_DIR, name + ".json"))
+        for path in _key_paths(cfg):
+            for value in (DELETE, "x", 3, -1, [], {}, None):
+                yield name, path, value
+
+
+class TestConfigMutations:
+    """One-field mutations of shipped configs exit cleanly through main."""
+
+    # about 1,000 mutations in all; a passing pipeline run costs up to ~1 s
+    @given(st.sampled_from(list(_mutations())))
+    @settings(max_examples=40, deadline=None)
+    def test_mutated_config_exits_cleanly(self, mutation):
+        name, path, value = mutation
+        original = ser.read_json(os.path.join(CONFIG_DIR, name + ".json"))
+        cfg = copy.deepcopy(original)
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        if value == DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        pipeline = original["pipeline"]
+        jobs = ["--jobs", "1"] if pipeline == "sweep" else []
+        cwd = os.getcwd()
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = os.path.join(tmp, "cfg.json")
+            with open(cfg_path, "w") as f:
+                json.dump(cfg, f)
+            os.chdir(tmp)  # the configs write to out/ under the working dir
+            try:
+                with contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    code = main([pipeline.replace("_", "-"), "--config",
+                                 cfg_path, *jobs])
+            finally:
+                os.chdir(cwd)
+        assert code in (0, EXIT_CONFIG, EXIT_DATA, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
