@@ -85,6 +85,8 @@ _BOUNDS = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
 
 def _check(kind, v, where: str, base_dir: str, bound=None):
     """Value `v` of the config key named `where`, normalised to `kind`."""
+    if callable(kind) and not isinstance(kind, type):
+        return kind(v, where, base_dir)
     if isinstance(kind, dict):
         return _check_table(kind, v, where, base_dir)
     if isinstance(kind, tuple):
@@ -96,27 +98,24 @@ def _check(kind, v, where: str, base_dir: str, bound=None):
             raise ConfigError(f"{where} must be a nonempty list, got {v!r}")
         return [_check(kind[0], x, f"{where}[{i}]", base_dir, bound)
                 for i, x in enumerate(v)]
-    if kind in (int, float, numbers.Real):  # Real: any number, kept as given
-        if isinstance(v, numbers.Real) and not isinstance(v, bool) \
-                and math.isfinite(v) and (kind is not int or v == int(v)) \
-                and (bound is None or _BOUNDS[bound](v)):
-            return v if kind is numbers.Real else kind(v)
-        want = ("an integer" if kind is int else "a number") + (
-            f" {bound}" if bound else "")
-        raise ConfigError(f"{where} must be {want}, got {v!r}")
     if kind is bool:
         if not isinstance(v, bool):
             raise ConfigError(f"{where} must be true or false, got {v!r}")
         return v
-    if kind not in (str, _PATH):
-        return kind(v, where, base_dir)
-    if not isinstance(v, str) or not v:
-        raise ConfigError(f"{where} must be a nonempty string, got {v!r}")
-    if kind is str:
-        return v
-    if not os.path.exists(os.path.join(base_dir, v)):
-        raise ConfigError(f"{where}: file not found: {v!r}")
-    return os.path.join(base_dir, v)
+    if kind in (str, _PATH):
+        if not isinstance(v, str) or not v:
+            raise ConfigError(f"{where} must be a nonempty string, got {v!r}")
+        if kind is _PATH and not os.path.exists(os.path.join(base_dir, v)):
+            raise ConfigError(f"{where}: file not found: {v!r}")
+        return os.path.join(base_dir, v) if kind is _PATH else v
+    # int, float, or numbers.Real: any number, kept as given
+    if isinstance(v, numbers.Real) and not isinstance(v, bool) \
+            and math.isfinite(v) and (kind is not int or v == int(v)) \
+            and (bound is None or _BOUNDS[bound](v)):
+        return v if kind is numbers.Real else kind(v)
+    want = ("an integer" if kind is int else "a number") + (
+        f" {bound}" if bound else "")
+    raise ConfigError(f"{where} must be {want}, got {v!r}")
 
 
 def _check_table(table: dict, obj, where: str, base_dir: str, label=None):
@@ -147,11 +146,10 @@ def _pick(tag: str, tables: dict, default=_REQUIRED):
     def check(obj, where, base_dir):
         if not isinstance(obj, dict):
             raise ConfigError(f"{where} must be an object, got {obj!r}")
-        if tag not in obj and default is _REQUIRED:
-            raise ConfigError(f"{where}.{tag} is required")
-        name = _check(tuple(tables), obj[tag] if tag in obj else default,
-                      f"{where}.{tag}", base_dir)
+        head = {k: v for k, v in obj.items() if k == tag}
         rest = {k: v for k, v in obj.items() if k != tag}
+        name = _check_table({tag: (tuple(tables), default)}, head, where,
+                            base_dir)[tag]
         return {tag: name, **_check(tables[name], rest, where, base_dir)}
     return check
 
