@@ -269,12 +269,10 @@ class TestCliCommands:
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     @pytest.mark.parametrize("pipeline, change, key", [
-        (pipeline, change, key) for pipeline in ("attack", "defend")
-        for change, key in SINGLE_TARGET_ERRORS.values()
-        if pipeline == "defend" or "defense" not in change],
-        ids=[f"{pipeline}-{name}" for pipeline in ("attack", "defend")
-             for name in SINGLE_TARGET_ERRORS
-             if pipeline == "defend" or name != "negative_rounds"])
+        pytest.param(pipeline, change, key, id=f"{pipeline}-{name}")
+        for pipeline in ("attack", "defend")
+        for name, (change, key) in SINGLE_TARGET_ERRORS.items()
+        if pipeline == "defend" or "defense" not in change])
     def test_single_target_required(self, tmp_path, capsys, pipeline, change,
                                     key):
         cfg = {"dataset": {"generator": "or", "seed": 5, "reps": 5},
