@@ -6,15 +6,15 @@ clean mean gradient,
 
     minimize over poison points  (1/2) || g(mu) + eps_d * g(nu) ||^2,
 
-by projected gradient descent with momentum. Each step makes one fused
-pass over the poison set (`models._canceling_pass`): a single forward
-pass yields the residual g(mu) + eps_d g(nu), the per-point feature
-update (the mixed second-order product of the loss, scaled by 1/n with
-n the clean count) and the label gradient. Labels enter that pass as
-float targets built once per attack, so hard and optimized soft labels
-share one code path. The residual is recomputed once per epoch (or once
-per mini-batch when batching), and the L-BFGS polish evaluates the same
-pass; only the reported final merit goes back through the public,
+by full-batch projected gradient descent with momentum, guarded by a
+nonmonotone backtracking rule, then polished by L-BFGS-B. Each epoch
+makes one fused pass over the poison set (`models._canceling_pass`): a
+single forward pass yields the residual g(mu) + eps_d g(nu), the
+per-point feature update (the mixed second-order product of the loss,
+scaled by 1/n with n the clean count) and the label gradient. Labels
+enter that pass as float targets built once per attack, so hard and
+optimized soft labels share one code path. The polish evaluates the
+same pass; only the reported final merit goes back through the public,
 validating kernels. Gradient matching optimizes a cosine dissimilarity
 against a reversed-loss gradient instead, and the Frank-Wolfe variant
 optimizes the poison distribution itself as a weighted atom set over a
@@ -39,8 +39,8 @@ from .mathcore import make_rng
 from .models import (LEAST_SQUARES, LOGISTIC, ModelSpec, _canceling_pass,
                      _onehot, check_params, grads_batch, losses_batch,
                      mean_param_grad, mixed_vjp_batch)
-from .optim import (check_descent_options, project_simplex_rows,
-                    round_half_up, schedule_lr)
+from .optim import (MOMENTUM, check_descent_options, cosine_lr,
+                    project_simplex_rows, round_half_up)
 
 CLIP_BOX = "box"
 CLIP_CLEAN_RANGE = "clean_range"
@@ -53,28 +53,10 @@ _NONMONOTONE_WINDOW = 20
 class AttackOptions:
     epochs: int = 1000
     lr: float = 0.5
-    momentum: float = 0.9
-    schedule: str = "cosine"
-    batch_size: int | None = None  # None means full batch
     clip_mode: str = CLIP_NONE
     optimize_labels: bool = False
     replace_mode: bool = False
     seed: int = 0
-    # Nonmonotone backtracking safeguard: an epoch whose merit exceeds the
-    # worst of the last 20 accepted merits is undone and the step scale
-    # halved; accepted epochs regrow it 1.2x. The canceling objective is
-    # quartic in the poison features, so no fixed step survives both the
-    # long-transit and the high-curvature phase; the window (rather than
-    # strict descent) lets momentum follow curved valleys. The returned
-    # poison set is the best iterate seen, so the safeguard never hurts.
-    adaptive: bool = True
-    # Quasi-Newton finishing pass (bound-constrained when clipping) from
-    # the best iterate. The per-epoch trace stays pure momentum descent;
-    # only the returned poison set benefits. Plain descent zigzags in the
-    # curved valleys of the canceling objective and can report a target
-    # as blocked when it is merely hard; the polish removes that false
-    # plateau while leaving genuinely infeasible targets at their floor.
-    polish: bool = True
 
     def __post_init__(self):
         check_descent_options(self)
@@ -111,6 +93,11 @@ def project_admissible(points: np.ndarray, box: np.ndarray, clip_mode: str,
     else:
         raise DomainError(f"unknown clip_mode {clip_mode!r}")
     return np.clip(points, lo, hi)
+
+
+def _replace_keep(n_clean: int, eps_d: float) -> int:
+    """Clean points that replace mode keeps: floor(n / (1 + eps_d))."""
+    return int(np.floor(n_clean / (1.0 + eps_d)))
 
 
 def _poison_count(n_clean: int, eps_d: float) -> int:
@@ -245,12 +232,13 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     """Construct a poison set whose ratio-weighted gradient cancels g(mu).
 
     Poison features are initialized as a seeded subsample of the clean
-    data and updated by momentum SGD on the canceling objective, with
-    per-step projection given by opts.clip_mode. Labels stay fixed unless
-    opts.optimize_labels, in which case soft labels are optimized on the
-    simplex and hardened at the end. replace_mode swaps the clean set for
-    a seeded subset of size floor(n / (1 + eps_d)) first, which models an
-    attacker who replaces rather than adds points.
+    data and updated by full-batch momentum descent on the canceling
+    objective, with per-step projection given by opts.clip_mode, then
+    polished by L-BFGS-B. Labels stay fixed unless opts.optimize_labels,
+    in which case soft labels are optimized on the simplex and hardened
+    at the end. replace_mode swaps the clean set for a seeded subset of
+    size floor(n / (1 + eps_d)) first, which models an attacker who
+    replaces rather than adds points.
     """
     opts = opts or AttackOptions()
     target = check_params(spec, target)
@@ -259,7 +247,7 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     kept = None
     mu = clean
     if opts.replace_mode:
-        keep_n = int(np.floor(clean.n / (1.0 + eps_d)))
+        keep_n = _replace_keep(clean.n, eps_d)
         if keep_n < 1:
             raise DomainError("replace_mode keeps zero clean points")
         keep_idx = np.sort(rng.choice(clean.n, size=keep_n, replace=False))
@@ -272,83 +260,74 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     g_mu = mean_param_grad(spec, target, mu)
     clean_range = np.stack([mu.x.min(axis=0), mu.x.max(axis=0)], axis=1)
 
-    # float label targets; they move only when labels are optimized
+    # float label targets; they move only when labels are optimized. The
+    # loop rebinds xs and t and never writes into them, so iterates can be
+    # kept without copies.
     t = _label_targets(spec, ys)
     free = opts.optimize_labels
     vel_x = np.zeros_like(xs)
     vel_t = np.zeros_like(t)
     merit_trace = np.empty(opts.epochs)
 
-    def canceling_pass(rows=None):
-        return _canceling_pass(spec, target, xs, t, g_mu, eps_d, rows)
+    def canceling_pass():
+        residual, gx, gt = _canceling_pass(spec, target, xs, t, g_mu, eps_d)
+        return 0.5 * float(residual @ residual), gx, gt
 
-    batch = opts.batch_size if opts.batch_size and opts.batch_size < count else None
     scale = 1.0
     window: deque = deque(maxlen=_NONMONOTONE_WINDOW)
-    prev_xs = prev_t = None
-    best_merit = np.inf
-    best_xs, best_t = xs.copy(), t.copy()
+    prev_xs, prev_t = xs, t
+    best_merit, best_xs, best_t = np.inf, xs, t
 
     for epoch in range(opts.epochs):
-        lr_t = schedule_lr(opts.lr, opts.schedule, epoch, opts.epochs)
-        if batch is None:
-            chunks = [slice(0, count)]
-        else:
-            order = rng.permutation(count)
-            chunks = [order[i:i + batch] for i in range(0, count, batch)]
-        residual, gx, gt = canceling_pass(chunks[0])
-        merit = 0.5 * float(residual @ residual)
+        merit, gx, gt = canceling_pass()
         if not np.isfinite(merit):
-            if not opts.adaptive or not window:
+            if not window:
                 raise AttackDivergence(
-                    f"non-finite merit at epoch {epoch}; reduce lr={opts.lr}")
+                    "non-finite canceling merit at the initial poison set")
             merit = np.inf
-        if opts.adaptive and window and merit > max(window) * (1.0 + 1e-12):
-            # undo the offending epoch, halve the step scale, restart the
-            # momentum from rest
-            xs = prev_xs.copy()
-            if free:
-                t = prev_t.copy()
-            vel_x[:] = 0.0
-            vel_t[:] = 0.0
+        # Nonmonotone backtracking guard: an epoch whose merit exceeds the
+        # worst of the last 20 accepted merits is undone, the step scale
+        # halved and the momentum restarted from rest; accepted epochs
+        # regrow the scale 1.2x. The canceling objective is quartic in the
+        # poison features, so no fixed step survives both the long-transit
+        # and the high-curvature phase; the window (rather than strict
+        # descent) lets momentum follow curved valleys. The returned poison
+        # set is the best iterate seen, so the guard never hurts.
+        if window and merit > max(window) * (1.0 + 1e-12):
+            xs, t = prev_xs, prev_t
+            vel_x = np.zeros_like(xs)
+            vel_t = np.zeros_like(t)
             scale = max(scale * 0.5, 1e-15)
-            residual, gx, gt = canceling_pass(chunks[0])
-            merit = 0.5 * float(residual @ residual)
-        elif opts.adaptive and window:
+            merit, gx, gt = canceling_pass()
+        elif window:
             scale = min(scale * 1.2, 1e6)
         merit_trace[epoch] = merit
         window.append(merit)
         if merit < best_merit:
-            best_merit = merit
-            best_xs, best_t = xs.copy(), t.copy()
-        if opts.adaptive:
-            prev_xs = xs.copy()
-            prev_t = t.copy() if free else None
-        lr_t *= scale
+            best_merit, best_xs, best_t = merit, xs, t
+        prev_xs, prev_t = xs, t
 
-        for ci, chunk in enumerate(chunks):
-            if ci > 0:
-                # stale residual is refreshed once per mini-batch
-                residual, gx, gt = canceling_pass(chunk)
-                if not np.all(np.isfinite(residual)):
-                    raise DomainError("non-finite canceling residual")
-            vel_x[chunk] = opts.momentum * vel_x[chunk] + gx / n
-            xs[chunk] = project_admissible(xs[chunk] - lr_t * vel_x[chunk],
-                                           mu.domain_box, opts.clip_mode,
-                                           clean_range)
-            if free:
-                vel_t[chunk] = opts.momentum * vel_t[chunk] + gt / n
-                t[chunk] = _project_soft(spec, t[chunk] - lr_t * vel_t[chunk])
+        lr_t = cosine_lr(opts.lr, epoch, opts.epochs) * scale
+        vel_x = MOMENTUM * vel_x + gx / n
+        xs = project_admissible(xs - lr_t * vel_x, mu.domain_box,
+                                opts.clip_mode, clean_range)
+        if free:
+            vel_t = MOMENTUM * vel_t + gt / n
+            t = _project_soft(spec, t - lr_t * vel_t)
 
     # evaluate the closing state too, then keep the best iterate seen
-    residual, _, _ = canceling_pass()
-    closing = 0.5 * float(residual @ residual)
+    closing, _, _ = canceling_pass()
     if not (np.isfinite(closing) and closing < best_merit):
         xs, t = best_xs, best_t
 
-    if opts.polish:
-        xs, t = _polish(spec, target, xs, t, free and spec.family == LEAST_SQUARES,
-                        g_mu, eps_d, mu.domain_box, opts.clip_mode, clean_range)
+    # Quasi-Newton finishing pass (bound-constrained when clipping) from
+    # the best iterate. The per-epoch trace stays pure momentum descent;
+    # only the returned poison set benefits. Plain descent zigzags in the
+    # curved valleys of the canceling objective and can report a target
+    # as blocked when it is merely hard; the polish removes that false
+    # plateau while leaving genuinely infeasible targets at their floor.
+    xs, t = _polish(spec, target, xs, t, free and spec.family == LEAST_SQUARES,
+                    g_mu, eps_d, mu.domain_box, opts.clip_mode, clean_range)
 
     if free:
         ys = _harden_labels(spec, t)
@@ -414,7 +393,7 @@ def gradient_matching(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     vel = np.zeros_like(xs)
     trace = np.empty(opts.epochs)
     for epoch in range(opts.epochs):
-        lr_t = schedule_lr(opts.lr, opts.schedule, epoch, opts.epochs)
+        lr_t = cosine_lr(opts.lr, epoch, opts.epochs)
         g_nu = grads_batch(spec, target, xs, ys).mean(axis=0)
         nrm_nu = float(np.linalg.norm(g_nu))
         if nrm_nu < 1e-300:
@@ -429,7 +408,7 @@ def gradient_matching(clean: Dataset, spec: ModelSpec, target, eps_d: float,
         # d(dissim)/d(g_nu), then the chain rule through each poison point
         v = -g_rev / (nrm_rev * nrm_nu) + cos * g_nu / (nrm_nu * nrm_nu)
         gx = mixed_vjp_batch(spec, target, xs, ys, v) / count
-        vel = opts.momentum * vel + gx
+        vel = MOMENTUM * vel + gx
         xs = xs - lr_t * vel
         xs = project_admissible(xs, clean.domain_box, opts.clip_mode, clean_range)
 

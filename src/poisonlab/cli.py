@@ -29,8 +29,8 @@ import numpy as np
 
 from . import data as datamod
 from . import serialize as ser
-from .attack import (AttackOptions, GridDomain, LineDomain, frank_wolfe_attack,
-                     gradient_canceling, gradient_matching)
+from .attack import (AttackOptions, GridDomain, LineDomain, _replace_keep,
+                     frank_wolfe_attack, gradient_canceling, gradient_matching)
 from .data import Dataset, concat
 from .defense import dpa_predict, dpa_train, sever_filter
 from .errors import (AttackDivergence, ConfigError, DomainError,
@@ -164,12 +164,13 @@ def _one_of(table: dict, *keys):
     return check
 
 
-def _options(cls):
-    """Table entry for the options dataclass `cls`: its fields, types and
-    defaults; an instance's own range checks apply too."""
+def _options(cls, *keep):
+    """Table entry for the options dataclass `cls`: its fields (only those
+    named in `keep`, if any), types and defaults; an instance's own range
+    checks apply too."""
     hints = get_type_hints(cls)
-    table = {f.name: (int if hints[f.name] == int | None else hints[f.name],
-                      f.default) for f in fields(cls)}
+    table = {f.name: (hints[f.name], f.default) for f in fields(cls)
+             if not keep or f.name in keep}
 
     def check(obj, where, base_dir):
         out = _check_table(table, obj, where, base_dir, cls.__name__)
@@ -242,9 +243,12 @@ _TARGET = _pick("source", {
                     "steps": (int, 20, ">= 1")},
     "random": {"eps_w": (float, _REQUIRED, ">= 0")},
 })
-_OPTIONS = {"options": _options(AttackOptions)}
-_ATTACKS = {"gradient_canceling": _OPTIONS, "gradient_matching": _OPTIONS,
-            "frank_wolfe": {**_OPTIONS, "domain": (_one_of({
+# each attack takes the options it reads: gradient matching adds poison
+# with fixed labels, and Frank-Wolfe takes none
+_ATTACKS = {"gradient_canceling": {"options": _options(AttackOptions)},
+            "gradient_matching": {"options": _options(
+                AttackOptions, "epochs", "lr", "clip_mode", "seed")},
+            "frank_wolfe": {"domain": (_one_of({
                 "alpha_grid": ([float], None), "axes": ([[float]], None),
                 # class indices, or real targets for regression
                 "labels": ([numbers.Real], [0, 1]), "iters": (int, 500, ">= 1"),
@@ -402,13 +406,17 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
     test = None
     if "test_dataset" in cfg:
         test = _build_dataset(cfg["test_dataset"], derive_seed(seed, "test"))
-    if cfg["pipeline"] != "sweep" and cfg["attack"]["name"] != "frank_wolfe" \
-            and round_half_up(clean.n * cfg["eps_d"]) < 1:
-        raise ConfigError(f"eps_d: {cfg['eps_d']} of {clean.n} clean points"
-                          " rounds to no poison point")
-    gc_opts = AttackOptions(**{**cfg["attack"]["options"],
-                               "seed": derive_seed(seed, "attack")})
     pipe, out, eps_d = cfg["pipeline"], cfg["output"], cfg["eps_d"]
+    gc_opts = AttackOptions(**{**cfg["attack"].get("options", {}),
+                               "seed": derive_seed(seed, "attack")})
+    if pipe != "sweep" and cfg["attack"]["name"] != "frank_wolfe":
+        # replace mode counts the poison against the clean points it keeps
+        kept = (_replace_keep(clean.n, eps_d) if gc_opts.replace_mode
+                else clean.n)
+        if round_half_up(kept * eps_d) < 1:
+            raise ConfigError(f"eps_d: {eps_d} of {kept} clean points"
+                              f"{' kept' if gc_opts.replace_mode else ''}"
+                              " rounds to no poison point")
 
     if pipe == "attack":
         target = resolve_target(cfg["target"], clean, spec, train_opts, seed)
@@ -490,6 +498,9 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
         report["defended"] = asdict(defended)
     else:
         k = defense["k"]
+        if k > mixed.n:
+            raise ConfigError(f"defense.k: {k} partitions exceed the"
+                              f" {mixed.n} samples of the attacked set")
         ensemble = dpa_train(mixed, spec, k, seed=derive_seed(seed, "dpa"),
                              train_opts=train_opts)
         correct = certified = 0

@@ -13,20 +13,17 @@ from .errors import AttackDivergence, DomainError, PoisonLabError
 from .mathcore import derive_seed, make_rng, top_singular_vector
 from .models import (ModelSpec, _mean_grad_fn, accuracy, check_params,
                      mean_param_grad)
-from .optim import check_descent_options, schedule_lr
+from .optim import MOMENTUM, check_descent_options, cosine_lr
 from .reachability import tau_threshold
 
 _SGD_SWITCH_N = 10_000
-_DEFAULT_SGD_BATCH = 1000
+_SGD_BATCH = 1000
 
 
 @dataclass(frozen=True)
 class TrainOptions:
     epochs: int = 1000
     lr: float = 0.5
-    momentum: float = 0.9
-    schedule: str = "cosine"
-    batch_size: int | None = None  # None: full batch up to 10k samples, then 1000
     grad_tol: float = 1e-8
     init_scale: float = 0.01
 
@@ -59,10 +56,9 @@ def _smoothness_bound(spec: ModelSpec, ds: Dataset) -> float:
 
 def train(spec: ModelSpec, ds: Dataset, opts: TrainOptions | None = None,
           seed: int = 0) -> np.ndarray:
-    """Momentum gradient descent from a seeded init.
+    """Momentum gradient descent under a cosine decay from a seeded init.
 
-    Full batch for small datasets, mini-batches of 1000 above 10k
-    samples; stops at the epoch budget or when the full-data gradient
+    Full batch up to 10k samples, mini-batches of 1000 above; stops at the epoch budget or when the full-data gradient
     norm falls below grad_tol. The init is validated once; the unchecked
     `models._mean_grad_fn` kernel is built once per training set (per
     mini-batch when batching). Deterministic given (opts, seed).
@@ -70,11 +66,6 @@ def train(spec: ModelSpec, ds: Dataset, opts: TrainOptions | None = None,
     opts = opts or TrainOptions()
     rng = make_rng(seed, stream=5)
     params = check_params(spec, spec.init_params(rng, opts.init_scale))
-    batch = opts.batch_size
-    if batch is None and ds.n > _SGD_SWITCH_N:
-        batch = _DEFAULT_SGD_BATCH
-    if batch is not None and batch >= ds.n:
-        batch = None
     # divide lr by the estimated loss smoothness when it exceeds 1, so
     # retraining stays stable on mixtures containing far-out poison
     lr = opts.lr / max(1.0, _smoothness_bound(spec, ds))
@@ -82,7 +73,7 @@ def train(spec: ModelSpec, ds: Dataset, opts: TrainOptions | None = None,
     grad = _mean_grad_fn(spec, ds.x, ds.y)
     vel = np.zeros_like(params)
     for epoch in range(opts.epochs):
-        lr_t = schedule_lr(lr, opts.schedule, epoch, opts.epochs)
+        lr_t = cosine_lr(lr, epoch, opts.epochs)
         g = grad(params)
         gn = math.sqrt(g @ g)
         if not math.isfinite(gn):
@@ -90,15 +81,15 @@ def train(spec: ModelSpec, ds: Dataset, opts: TrainOptions | None = None,
             raise AttackDivergence(f"training diverged at epoch {epoch}")
         if gn < opts.grad_tol:
             break
-        if batch is None:
-            vel = opts.momentum * vel + g
+        if ds.n <= _SGD_SWITCH_N:
+            vel = MOMENTUM * vel + g
             params = params - lr_t * vel
         else:
             order = rng.permutation(ds.n)
-            for i in range(0, ds.n, batch):
-                idx = order[i:i + batch]
+            for i in range(0, ds.n, _SGD_BATCH):
+                idx = order[i:i + _SGD_BATCH]
                 gb = _mean_grad_fn(spec, ds.x[idx], ds.y[idx])(params)
-                vel = opts.momentum * vel + gb
+                vel = MOMENTUM * vel + gb
                 params = params - lr_t * vel
     return params
 

@@ -309,7 +309,7 @@ def mixed_vjp(spec: ModelSpec, params, x, y, v) -> np.ndarray:
 # fused canceling pass
 
 def _canceling_pass(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
-                    t: np.ndarray, g_mu: np.ndarray, eps_d: float, rows=None):
+                    t: np.ndarray, g_mu: np.ndarray, eps_d: float):
     """Residual and its poison-side gradients from one forward pass.
 
     t holds float label targets: shape (n,) for least_squares and
@@ -318,21 +318,18 @@ def _canceling_pass(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
 
       r   = g_mu + eps_d * mean_i param_grad(x_i, t_i)   over all n rows,
       gx  = rows of grad_x <param_grad(x_i, t_i), r>,
-      gt  = d<param_grad(x_i, t_i), r> / dt_i,
+      gt  = d<param_grad(x_i, t_i), r> / dt_i.
 
-    the last two for `rows` only (all rows by default). Every gradient is
-    linear in the output error q = prediction - t, so gt = -s where s is
-    d<param_grad, r>/dq. Nothing is validated here: the caller checks
-    params once per attack.
+    Every gradient is linear in the output error q = prediction - t, so
+    gt = -s where s is d<param_grad, r>/dq. Nothing is validated here: the
+    caller checks params once per attack.
     """
     n = x.shape[0]
-    sel = slice(None) if rows is None else rows
-    xr = x[sel]
     if spec.family == LEAST_SQUARES:
         q = x @ params - t
         residual = g_mu + eps_d * ((x.T @ q) / n)
-        s = xr @ residual
-        gx = np.outer(s, params) + q[sel][:, None] * residual[None, :]
+        s = x @ residual
+        gx = np.outer(s, params) + q[:, None] * residual[None, :]
         return residual, gx, -s
     if spec.family == LOGISTIC:
         z = x @ params
@@ -341,9 +338,9 @@ def _canceling_pass(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
         # difference would cancel away the digits of a converged merit
         q = (1.0 - t) * p - t * pn
         residual = g_mu + eps_d * ((x.T @ q) / n)
-        s = xr @ residual
-        gx = ((p * pn)[sel] * s)[:, None] * params[None, :] \
-            + q[sel][:, None] * residual[None, :]
+        s = x @ residual
+        gx = (p * pn * s)[:, None] * params[None, :] \
+            + q[:, None] * residual[None, :]
         return residual, gx, -s
     if spec.family == SOFTMAX:
         w = unpack_softmax(spec, params)
@@ -351,8 +348,8 @@ def _canceling_pass(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
         q = p - t
         residual = g_mu + eps_d * ((x.T @ q) / n).ravel()
         vm = residual.reshape(spec.input_dim, spec.classes)
-        s = xr @ vm
-        gx = q[sel] @ vm.T + _jp_apply(p[sel], s) @ w.T
+        s = x @ vm
+        gx = q @ vm.T + _jp_apply(p, s) @ w.T
         return residual, gx, -s
     u, w, d, phi = _mlp_forward(spec, params, x)
     p = _softmax_rows(phi @ w)
@@ -363,11 +360,9 @@ def _canceling_pass(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     cut = spec.hidden * spec.input_dim
     vu = residual[:cut].reshape(spec.hidden, spec.input_dim)
     vw = residual[cut:].reshape(spec.hidden, spec.classes)
-    dr = d[sel]
     # <grad_W l, Vw> = phi^T Vw q ; <grad_U l, Vu> = (D (W q))^T Vu x
-    s = phi[sel] @ vw + ((xr @ vu.T) * dr) @ w
-    gx = ((q[sel] @ vw.T + _jp_apply(p[sel], s) @ w.T) * dr) @ u \
-        + back[sel] @ vu
+    s = phi @ vw + ((x @ vu.T) * d) @ w
+    gx = ((q @ vw.T + _jp_apply(p, s) @ w.T) * d) @ u + back @ vu
     return residual, gx, -s
 
 

@@ -6,16 +6,13 @@ import numpy as np
 
 from .errors import DomainError
 
-COSINE = "cosine"
-CONSTANT = "constant"
+# every descent loop (the canceling attack, gradient matching, training)
+# runs heavy-ball momentum under a cosine learning-rate decay
+MOMENTUM = 0.9
 
 
-def schedule_lr(lr: float, schedule: str, epoch: int, total: int) -> float:
-    if schedule == CONSTANT:
-        return lr
-    if schedule == COSINE:
-        return lr * 0.5 * (1.0 + np.cos(np.pi * epoch / total))
-    raise DomainError(f"unknown schedule {schedule!r}")
+def cosine_lr(lr: float, epoch: int, total: int) -> float:
+    return lr * 0.5 * (1.0 + np.cos(np.pi * epoch / total))
 
 
 def check_descent_options(opts) -> None:
@@ -24,12 +21,6 @@ def check_descent_options(opts) -> None:
         raise DomainError("epochs must be >= 1")
     if opts.lr <= 0:
         raise DomainError("lr must be positive")
-    if not 0.0 <= opts.momentum < 1.0:
-        raise DomainError("momentum must lie in [0, 1)")
-    if opts.schedule not in (COSINE, CONSTANT):
-        raise DomainError(f"unknown schedule {opts.schedule!r}")
-    if opts.batch_size is not None and opts.batch_size < 1:
-        raise DomainError("batch_size must be >= 1")
 
 
 def project_simplex_rows(s: np.ndarray) -> np.ndarray:

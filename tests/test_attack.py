@@ -94,26 +94,18 @@ class TestGradientCanceling:
         assert res.final_grad_norm == pytest.approx(
             np.sqrt(2 * res.final_merit) / 1.5, abs=1e-12)
 
-    def test_plain_gd_descent_monotone(self):
-        clean, spec, target = regression_problem(seed=1, n=100)
-        res = gradient_canceling(clean, spec, target, 0.5,
-                                 AttackOptions(epochs=200, lr=1e-3, momentum=0.0,
-                                               schedule="constant", seed=0,
-                                               adaptive=False, polish=False))
-        diffs = np.diff(res.merit_trace)
-        assert np.all(diffs <= 1e-12)
-
     def test_single_step_matches_objective_fd(self, toy, logistic2):
         # the merit as a function of a single poison point has gradient
         # eps_d * mixed_vjp, so the implemented step lr/n * mixed_vjp must
-        # equal lr/(n*eps_d) times the finite-difference merit gradient
+        # equal lr/(n*eps_d) times the finite-difference merit gradient. At
+        # epoch 0 the cosine rate equals lr, the momentum starts from rest
+        # and the guard has no window yet; merit_trace[1] is the merit at
+        # the point that first step reached.
         target = 2 * W_STAR
         eps_d = 0.4
         n = toy.n
         lr = 0.31
-        opts = AttackOptions(epochs=1, lr=lr, momentum=0.0,
-                             schedule="constant", seed=5, adaptive=False,
-                             polish=False)
+        opts = AttackOptions(epochs=2, lr=lr, seed=5)
         rng = make_rng(5, stream=7)
         idx = rng.choice(n, size=1, replace=False)
         x0 = toy.x[idx][0].copy()
@@ -133,14 +125,19 @@ class TestGradientCanceling:
             e[i] = h
             fd[i] = (merit(x0 + e) - merit(x0 - e)) / (2 * h)
         expected = x0 - lr * fd / (n * eps_d)
-        assert np.allclose(res.poison.x[0], expected, rtol=1e-5, atol=1e-10)
+        assert res.merit_trace[0] == pytest.approx(merit(x0), rel=1e-12)
+        assert res.merit_trace[1] < res.merit_trace[0]
+        assert res.merit_trace[1] == pytest.approx(merit(expected), rel=1e-8)
 
     def test_divergence_raises_without_safeguard(self):
-        clean, spec, target = regression_problem(seed=0, n=100)
-        with np.errstate(all="ignore"), pytest.raises(AttackDivergence):
+        # a non-finite merit at the initial poison set has no accepted
+        # iterate to fall back to
+        clean, spec, _ = regression_problem(seed=0, n=100)
+        target = np.array([1e200, 0.0, 0.0])
+        with np.errstate(all="ignore"), \
+                pytest.raises(AttackDivergence, match="initial poison set"):
             gradient_canceling(clean, spec, target, 1.0,
-                               AttackOptions(epochs=300, lr=1e6, seed=0,
-                                             adaptive=False, polish=False))
+                               AttackOptions(epochs=5, seed=0))
 
     def test_clipping_monotonicity(self, or_data, logistic3):
         target = np.array([-1.4, -1.4, 0.7])
@@ -266,6 +263,22 @@ class TestCancelingInvariants:
             lo, hi = (OR_CLEAN.domain_box.T if clip_mode == "box" else
                       (OR_CLEAN.x.min(axis=0), OR_CLEAN.x.max(axis=0)))
             assert np.all(poison.x >= lo) and np.all(poison.x <= hi)
+
+    @settings(max_examples=30, deadline=None)
+    @given(eps_d=st.floats(0.05, 3.0),
+           w=st.tuples(st.floats(-2.0, 0.5), st.floats(-2.0, 0.5),
+                       st.floats(-0.5, 1.5)),
+           lr=st.floats(0.5, 50.0), seed=st.integers(0, 2**16))
+    def test_guard_window_and_best_iterate(self, eps_d, w, lr, seed):
+        # the guard accepts no merit above the worst of the 20 before it,
+        # and the polished best iterate is never worse than the trace
+        res = gradient_canceling(OR_CLEAN, ModelSpec("logistic_binary", 3),
+                                 np.array(w), eps_d,
+                                 AttackOptions(epochs=60, lr=lr, seed=seed))
+        trace = res.merit_trace
+        for k in range(1, trace.size):
+            assert trace[k] <= (1 + 1e-12) * trace[max(0, k - 20):k].max()
+        assert res.final_merit <= trace.min() * (1 + 1e-9) + 1e-24
 
 
 class TestGradientMatching:

@@ -104,19 +104,3 @@ def test_gradients_match_finite_differences(spec, soft, seed):
             / (2 * h)
         predicted = eps_d / n * float(np.sum(grad * direction))
         assert abs(predicted - fd) <= 1e-6 * max(1.0, abs(fd))
-
-
-@pytest.mark.parametrize("spec,soft", CASES, ids=IDS)
-@settings(max_examples=40, deadline=None)
-@given(seed=SEEDS, data=st.data())
-def test_rows_select_from_full_output(spec, soft, seed, data):
-    rng, params, x, t, g_mu, eps_d = draw(spec, soft, seed)
-    n = x.shape[0]
-    k = data.draw(st.integers(1, n))
-    rows = rng.permutation(n)[:k]
-    full = _canceling_pass(spec, params, x, t, g_mu, eps_d)
-    part = _canceling_pass(spec, params, x, t, g_mu, eps_d, rows=rows)
-    np.testing.assert_array_equal(part[0], full[0])
-    for got, whole in zip(part[1:], full[1:]):
-        assert got.shape[0] == k
-        np.testing.assert_allclose(got, whole[rows], rtol=1e-14, atol=1e-14)

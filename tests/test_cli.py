@@ -34,6 +34,24 @@ SINGLE_TARGET_ERRORS = {
                        "target.eps_w"),
     "negative_rounds": ({"defense": {"name": "sever", "rounds": -1}},
                         "defense.rounds"),
+    # replace mode keeps 2 of toy3's 3 points, and 2 * 0.2 rounds to 0
+    "replace_no_poison": ({"dataset": {"generator": "toy3"},
+                           "target": {"source": "inline", "values": [0.0, 0.7]},
+                           "eps_d": 0.2,
+                           "attack": {"options": {"replace_mode": True}}},
+                          "eps_d"),
+    # 20 clean and 2 poison points cannot fill 50 partitions
+    "dpa_k_exceeds_set": ({"defense": {"name": "dpa", "k": 50}}, "defense.k"),
+    # the canceling loop and training take no switches
+    "removed_attack_option": ({"attack": {"options": {"polish": False}}},
+                              "unknown AttackOptions keys: ['polish']"),
+    "removed_train_option": ({"train": {"batch_size": 16}},
+                             "unknown TrainOptions keys: ['batch_size']"),
+    # gradient matching adds poison with fixed labels
+    "matching_labels": ({"attack": {"name": "gradient_matching", "options": {
+        "optimize_labels": True}}}, "['optimize_labels']"),
+    "matching_replace": ({"attack": {"name": "gradient_matching", "options": {
+        "replace_mode": True}}}, "['replace_mode']"),
 }
 
 
@@ -335,6 +353,20 @@ class TestCliCommands:
         chosen = json.loads((tmp_path / "chosen.json").read_text())
         assert "values" in chosen and "tau" in chosen
 
+    def test_frank_wolfe_takes_no_options(self, tmp_path, capsys):
+        cfg = {"pipeline": "attack",
+               "dataset": {"generator": "or", "reps": 5},
+               "model": {"family": "logistic_binary"},
+               "target": {"source": "inline", "values": [0.0, 0.0, 0.1]},
+               "attack": {"name": "frank_wolfe", "options": {"epochs": 7},
+                          "domain": {"alpha_grid": [0.0, 1.0]}},
+               "output": {"dir": str(tmp_path)}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["attack", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert "['options']" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
     def test_unknown_attack_exit_code(self, tmp_path):
         cfg = {"pipeline": "attack",
                "dataset": {"generator": "or"},
@@ -432,21 +464,22 @@ class TestCliCommands:
         assert (tmp_path / "serial.csv").read_text() == \
             (tmp_path / "par.csv").read_text()
 
-    def test_divergence_exit_code(self, tmp_path):
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        # training the base model of a grad_ascent target diverges
         cfg = {"pipeline": "attack",
                "seed": 0,
                "dataset": {"generator": "gauss_reg", "seed": 0, "n": 100,
                            "w_true": [1.0, -1.0], "noise": 0.1},
                "model": {"family": "least_squares"},
-               "target": {"source": "random", "eps_w": 1.0},
+               "train": {"lr": 1e6},
+               "target": {"source": "grad_ascent", "eps_w": 1.0},
                "eps_d": 1.0,
-               "attack": {"name": "gradient_canceling",
-                          "options": {"lr": 1e6, "epochs": 200,
-                                      "adaptive": False, "polish": False}}}
+               "output": {"dir": str(tmp_path)}}
         cfg_path = tmp_path / "div.json"
         cfg_path.write_text(json.dumps(cfg))
         with np.errstate(all="ignore"):
             assert main(["attack", "--config", str(cfg_path)]) == 4
+        assert "training diverged" in capsys.readouterr().err
 
     def test_model_alias_in_threshold(self, tmp_path):
         data = str(tmp_path / "or.json")

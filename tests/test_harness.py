@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import poisonlab as pl
+from poisonlab import harness
 from poisonlab.attack import AttackOptions
 from poisonlab.errors import DomainError
 from poisonlab.harness import (SWEEP_COLUMNS, TrainOptions, retrain_and_eval,
@@ -29,11 +30,13 @@ class TestTrain:
         b = train(logistic3, or_data, seed=17)
         assert np.array_equal(a, b)
 
-    def test_minibatch_path(self):
+    def test_minibatch_path(self, monkeypatch):
+        # the switch to mini-batches, moved down from 10k samples
+        monkeypatch.setattr(harness, "_SGD_SWITCH_N", 500)
+        monkeypatch.setattr(harness, "_SGD_BATCH", 128)
         ds = pl.gen_gauss_classification(seed=2, n=600, d=3)
         spec = ModelSpec("logistic_binary", 4)
-        params = train(spec, ds, TrainOptions(epochs=60, batch_size=128),
-                       seed=2)
+        params = train(spec, ds, TrainOptions(epochs=60), seed=2)
         assert pl.accuracy(spec, params, ds) > 0.7
 
 

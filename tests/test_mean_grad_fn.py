@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisonlab.data import CLASSIFICATION, REGRESSION, Dataset
+from poisonlab import harness
 from poisonlab.harness import TrainOptions, _smoothness_bound, train
 from poisonlab.mathcore import make_rng
 from poisonlab.models import (ModelSpec, _mean_grad_fn, grads_batch,
                               mean_param_grad)
-from poisonlab.optim import schedule_lr
+from poisonlab.optim import MOMENTUM, cosine_lr
 
 SPECS = [
     ModelSpec("least_squares", 4),
@@ -57,39 +58,41 @@ def reference_train(spec, ds, opts, seed):
     """
     rng = make_rng(seed, stream=5)
     params = spec.init_params(rng, opts.init_scale)
-    batch = opts.batch_size
-    if batch is not None and batch >= ds.n:
-        batch = None
+    batch = harness._SGD_BATCH if ds.n > harness._SGD_SWITCH_N else None
     lr = opts.lr / max(1.0, _smoothness_bound(spec, ds))
     vel = np.zeros_like(params)
     for epoch in range(opts.epochs):
-        lr_t = schedule_lr(lr, opts.schedule, epoch, opts.epochs)
+        lr_t = cosine_lr(lr, epoch, opts.epochs)
         g = mean_param_grad(spec, params, ds)
         if float(np.linalg.norm(g)) < opts.grad_tol:
             return params, epoch
         if batch is None:
-            vel = opts.momentum * vel + g
+            vel = MOMENTUM * vel + g
             params = params - lr_t * vel
         else:
             order = rng.permutation(ds.n)
             for i in range(0, ds.n, batch):
                 gb = mean_param_grad(spec, params, ds.subset(order[i:i + batch]))
-                vel = opts.momentum * vel + gb
+                vel = MOMENTUM * vel + gb
                 params = params - lr_t * vel
     return params, opts.epochs
 
 
 TRAIN_CASES = {
     "full_batch": TrainOptions(epochs=150),
-    "batch_size": TrainOptions(epochs=25, batch_size=16),
+    # mini-batches of 16 once the set exceeds 50 samples
+    "batch_size": TrainOptions(epochs=25),
     "grad_tol": TrainOptions(epochs=400, grad_tol=2e-2, init_scale=0.5),
 }
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)
 @pytest.mark.parametrize("case", sorted(TRAIN_CASES))
-def test_train_matches_validated_reference(spec, case):
+def test_train_matches_validated_reference(spec, case, monkeypatch):
     opts = TRAIN_CASES[case]
+    if case == "batch_size":
+        monkeypatch.setattr(harness, "_SGD_SWITCH_N", 50)
+        monkeypatch.setattr(harness, "_SGD_BATCH", 16)
     ds = draw_dataset(spec, seed=3, n=60)
     expected, steps = reference_train(spec, ds, opts, seed=11)
     if case == "grad_tol":
