@@ -37,7 +37,7 @@ from .data import Dataset
 from .errors import AttackDivergence, DomainError
 from .mathcore import make_rng
 from .models import (LEAST_SQUARES, LOGISTIC, ModelSpec, _canceling_pass,
-                     _onehot, check_params, grads_batch, losses_batch,
+                     _targets, check_params, grads_batch, losses_batch,
                      mean_param_grad, mixed_vjp_batch)
 from .optim import (MOMENTUM, check_descent_options, cosine_lr,
                     project_simplex_rows, round_half_up)
@@ -112,13 +112,6 @@ def _poison_count(n_clean: int, eps_d: float) -> int:
 def _init_poison(mu: Dataset, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
     idx = rng.choice(mu.n, size=count, replace=count > mu.n)
     return mu.x[idx].copy(), mu.y[idx].copy()
-
-
-def _label_targets(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
-    """Float label targets for the canceling pass: y, or its one-hot rows."""
-    if spec.family in (LEAST_SQUARES, LOGISTIC):
-        return np.asarray(y, dtype=np.float64).copy()
-    return _onehot(np.asarray(y, np.int64), spec.classes)
 
 
 def _harden_labels(spec: ModelSpec, soft: np.ndarray) -> np.ndarray:
@@ -263,7 +256,7 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     # float label targets; they move only when labels are optimized. The
     # loop rebinds xs and t and never writes into them, so iterates can be
     # kept without copies.
-    t = _label_targets(spec, ys)
+    t = _targets(spec, ys)
     free = opts.optimize_labels
     vel_x = np.zeros_like(xs)
     vel_t = np.zeros_like(t)

@@ -34,7 +34,7 @@ from .attack import (AttackOptions, GridDomain, LineDomain, _replace_keep,
 from .data import Dataset, concat
 from .defense import dpa_predict, dpa_train, sever_filter
 from .errors import (AttackDivergence, ConfigError, DomainError,
-                     IdxFormatError, PoisonLabError)
+                     EmptyPartitionError, IdxFormatError, PoisonLabError)
 from .harness import (SWEEP_COLUMNS, TrainOptions, retrain_and_eval,
                       sweep_heatmap, train)
 from .mathcore import derive_seed
@@ -244,10 +244,13 @@ _TARGET = _pick("source", {
     "random": {"eps_w": (float, _REQUIRED, ">= 0")},
 })
 # each attack takes the options it reads: gradient matching adds poison
-# with fixed labels, and Frank-Wolfe takes none
-_ATTACKS = {"gradient_canceling": {"options": _options(AttackOptions)},
+# with fixed labels, and Frank-Wolfe takes none. Neither takes a seed: run
+# derives it from the config's seed.
+_ATTACKS = {"gradient_canceling": {"options": _options(
+                AttackOptions, "epochs", "lr", "clip_mode", "optimize_labels",
+                "replace_mode")},
             "gradient_matching": {"options": _options(
-                AttackOptions, "epochs", "lr", "clip_mode", "seed")},
+                AttackOptions, "epochs", "lr", "clip_mode")},
             "frank_wolfe": {"domain": (_one_of({
                 "alpha_grid": ([float], None), "axes": ([[float]], None),
                 # class indices, or real targets for regression
@@ -356,6 +359,14 @@ def resolve_model(obj: dict, ds: Dataset) -> ModelSpec:
         raise ConfigError(f"model: {exc}") from exc
 
 
+def _sized(values: np.ndarray, spec: ModelSpec, where: str) -> np.ndarray:
+    """`values`, if it holds as many parameters as `spec` needs."""
+    if values.size != spec.param_dim:
+        raise ConfigError(f"{where}: {values.size} parameter values,"
+                          f" {spec.family} needs {spec.param_dim}")
+    return values
+
+
 def resolve_target(obj: dict, clean: Dataset, spec: ModelSpec,
                    train_opts: TrainOptions, seed: int,
                    where: str = "target") -> np.ndarray:
@@ -371,9 +382,7 @@ def resolve_target(obj: dict, clean: Dataset, spec: ModelSpec,
         key, values = "path", ser.params_from_obj(ser.read_json(obj["path"]))
     else:
         key, values = "values", np.asarray(obj["values"], dtype=np.float64)
-    if values.size != spec.param_dim:
-        raise ConfigError(f"{where}.{key}: {values.size} parameter values,"
-                          f" {spec.family} needs {spec.param_dim}")
+    _sized(values, spec, f"{where}.{key}")
     if source == "scaled":
         return scale_params(spec, values, obj["s"])
     return values
@@ -498,11 +507,11 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
         report["defended"] = asdict(defended)
     else:
         k = defense["k"]
-        if k > mixed.n:
-            raise ConfigError(f"defense.k: {k} partitions exceed the"
-                              f" {mixed.n} samples of the attacked set")
-        ensemble = dpa_train(mixed, spec, k, seed=derive_seed(seed, "dpa"),
-                             train_opts=train_opts)
+        try:
+            ensemble = dpa_train(mixed, spec, k, seed=derive_seed(seed, "dpa"),
+                                 train_opts=train_opts)
+        except EmptyPartitionError as exc:
+            raise ConfigError(f"defense.k: {exc}") from exc
         correct = certified = 0
         budget = result.poison.n
         for i in range(test.n):
@@ -520,6 +529,23 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
 
 # ---------------------------------------------------------------------------
 # flag-style subcommands
+
+# bounds of the flag-style commands' numeric flags, checked like config keys
+_FLAGS = {"epochs": (int, ">= 1"), "lr": (float, "> 0"),
+          "c_convention": (int, ">= 2"), "eps_w": (float, ">= 0"),
+          "steps": (int, ">= 1"), "scale": (float, "> 0")}
+
+
+def _check_flags(args):
+    for name, (kind, bound) in _FLAGS.items():
+        if getattr(args, name, None) is not None:
+            _check(kind, getattr(args, name), "--" + name.replace("_", "-"),
+                   ".", bound)
+
+
+def _params_flag(path: str, spec: ModelSpec, flag: str) -> np.ndarray:
+    return _sized(ser.params_from_obj(ser.read_json(path)), spec, flag)
+
 
 def _write_or_print(obj, out_path: str | None):
     text = ser.dumps(obj)
@@ -572,7 +598,7 @@ def cmd_threshold(args) -> int:
     seed = _env_seed(args.seed)
     ds = resolve_dataset(args.data, seed)
     spec = _load_model(args, ds)
-    target = ser.params_from_obj(ser.read_json(args.target))
+    target = _params_flag(args.target, spec, "--target")
     rep = tau_threshold(spec, target, ds, c_convention=args.c_convention)
     _write_or_print(asdict(rep), args.out)
     return EXIT_OK
@@ -582,7 +608,7 @@ def cmd_make_target(args) -> int:
     seed = _env_seed(args.seed)
     ds = resolve_dataset(args.data, seed)
     spec = _load_model(args, ds)
-    base = (ser.params_from_obj(ser.read_json(args.params0)) if args.params0
+    base = (_params_flag(args.params0, spec, "--params0") if args.params0
             else None)
     if args.mode == "scaled":
         if base is None:
@@ -608,7 +634,7 @@ def cmd_retrain(args) -> int:
     poison = resolve_dataset(args.poison, seed) if args.poison else None
     test = resolve_dataset(args.test, seed)
     spec = _load_model(args, clean)
-    target = ser.params_from_obj(ser.read_json(args.target))
+    target = _params_flag(args.target, spec, "--target")
     eps_d = poison.n / clean.n if poison is not None else 0.0
     report = retrain_and_eval(clean, poison, test, spec, target, seed,
                               eps_d=eps_d)
@@ -713,6 +739,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

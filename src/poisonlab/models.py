@@ -8,14 +8,23 @@ Four families share one flat-parameter interface:
   mlp1              l = cross-entropy of h = W^T phi(x)      params: (U, W)
                     phi(x) = leaky_relu(U x), U (m, d), W (m, c)
 
-`mixed_vjp` returns the feature-space gradient of <param_grad(x, y), v>,
-computed from closed forms (the leaky-ReLU kink contributes zero almost
-everywhere). `_mean_grad_fn` is the label-prepared, unchecked mean
-gradient that training loops call per epoch. `_canceling_pass` fuses the
-poison mean gradient, the canceling residual and its feature and label
-gradients into one forward pass for the attack's inner loop. All losses
-use log-sum-exp formulations, and batch reductions run in a fixed order
-so results are bit-reproducible.
+Every parameter gradient is linear in the output error q = prediction - t,
+with t the float label targets (`_targets`: y, or its one-hot rows). Each
+family's closed forms are written once, in three private helpers:
+
+  _error             q and the forward state the other two reuse
+  _mean_from_error   the mean parameter gradient
+  _mixed             rows of grad_x <param_grad(x_i, t_i), v>, the mixed
+                     second-order product (the leaky-ReLU kink contributes
+                     zero almost everywhere), and its derivative s in q
+
+`grads_batch`, `mixed_vjp` and the fused `_canceling_pass` (the attack's
+residual, feature and label gradients from one forward pass) call them, as
+does `_mean_grad_fn`, the label-prepared, unchecked mean gradient that
+training loops call per epoch. Its logistic_binary branch is the one
+exception: a sign-folded form with one expit per call instead of two,
+equal bit for bit for hard labels. All losses use log-sum-exp formulations,
+and batch reductions run in a fixed order so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -122,12 +131,6 @@ def _softmax_rows(h: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _onehot(y: np.ndarray, c: int) -> np.ndarray:
-    out = np.zeros((y.shape[0], c))
-    out[np.arange(y.shape[0]), y] = 1.0
-    return out
-
-
 def _jp_apply(p: np.ndarray, s: np.ndarray) -> np.ndarray:
     # rows: (diag(p) - p p^T) s, the softmax Jacobian acting on s
     ps = p * s
@@ -145,25 +148,103 @@ def _check_features(spec: ModelSpec, x: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
+# forward pass and output error
+
+def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Model output h: x.w for the scalar families, class scores otherwise."""
+    if spec.family == MLP1:
+        _, w, _, phi = _mlp_forward(spec, params, x)
+        return phi @ w
+    if spec.family == SOFTMAX:
+        return x @ unpack_softmax(spec, params)
+    return x @ params
+
+
+def _targets(spec: ModelSpec, y) -> np.ndarray:
+    """Float label targets t: y itself, or its one-hot rows for softmax_linear
+    and mlp1. Always a new array, so callers may keep it."""
+    if spec.family in (SOFTMAX, MLP1):
+        yi = np.asarray(y, np.int64).ravel()
+        out = np.zeros((yi.shape[0], spec.classes))
+        out[np.arange(yi.shape[0]), yi] = 1.0
+        return out
+    return np.array(y, dtype=np.float64).ravel()
+
+
+def _error(spec: ModelSpec, params: np.ndarray, x: np.ndarray, t: np.ndarray):
+    """Output error q = prediction - t, and the forward state the gradient
+    kernels reuse: sigma(z) sigma(-z) for logistic_binary, the softmax rows p
+    for softmax_linear and (p, d, phi, dl/da) for mlp1."""
+    if spec.family == LEAST_SQUARES:
+        return x @ params - t, None
+    if spec.family == LOGISTIC:
+        z = x @ params
+        p, pn = expit(z), expit(-z)
+        # equals sigma(z) - t, but exact for hard labels where the naive
+        # difference would cancel away the digits of a converged merit
+        return (1.0 - t) * p - t * pn, p * pn
+    if spec.family == SOFTMAX:
+        p = _softmax_rows(_logits(spec, params, x))
+        return p - t, p
+    _, w, d, phi = _mlp_forward(spec, params, x)
+    p = _softmax_rows(phi @ w)
+    q = p - t
+    return q, (p, d, phi, (q @ w.T) * d)
+
+
+def _mean_from_error(spec: ModelSpec, x: np.ndarray, q: np.ndarray,
+                     state) -> np.ndarray:
+    """Mean parameter gradient over the rows of x, from `_error`'s output."""
+    n = x.shape[0]
+    if spec.family != MLP1:
+        # x outer q, flattened row-major to match the params layout
+        return ((x.T @ q) / n).ravel()
+    _, _, phi, back = state
+    return np.concatenate([((back.T @ x) / n).ravel(),
+                           ((phi.T @ q) / n).ravel()])
+
+
+def _mixed(spec: ModelSpec, params: np.ndarray, x: np.ndarray, q: np.ndarray,
+           state, v: np.ndarray):
+    """Rows gx_i = grad_x <param_grad(x_i, t_i), v> and s_i, the derivative
+    of <param_grad(x_i, t_i), v> in q_i, from `_error`'s output.
+
+    Every parameter gradient is linear in q, so the label gradient is -s.
+    For mlp1 the piecewise-constant activation derivative has zero second
+    derivative almost everywhere, which matches directional differentiation
+    of the analytic parameter gradient.
+    """
+    if spec.family in (LEAST_SQUARES, LOGISTIC):
+        s = x @ v
+        # dq/dz is 1 for least squares and sigma(z) sigma(-z) for logistic
+        dz = s if state is None else state * s
+        return dz[:, None] * params[None, :] + q[:, None] * v[None, :], s
+    if spec.family == SOFTMAX:
+        w, vm = unpack_softmax(spec, params), unpack_softmax(spec, v)
+        s = x @ vm
+        return q @ vm.T + _jp_apply(state, s) @ w.T, s
+    u, w = unpack_mlp(spec, params)
+    vu, vw = unpack_mlp(spec, v)
+    p, d, phi, back = state
+    # <grad_W l, Vw> = phi^T Vw q ; <grad_U l, Vu> = (D (W q))^T Vu x
+    s = phi @ vw + ((x @ vu.T) * d) @ w
+    return ((q @ vw.T + _jp_apply(p, s) @ w.T) * d) @ u + back @ vu, s
+
+
+# ---------------------------------------------------------------------------
 # losses
 
 def losses_batch(spec: ModelSpec, params: np.ndarray, x, y) -> np.ndarray:
     params = check_params(spec, params)
     x = _as_batch(x)
     _check_features(spec, x)
+    h = _logits(spec, params, x)
     if spec.family == LEAST_SQUARES:
-        y = np.asarray(y, dtype=np.float64).ravel()
-        r = x @ params - y
+        r = h - np.asarray(y, dtype=np.float64).ravel()
         return 0.5 * r * r
     yi = np.asarray(y, dtype=np.int64).ravel()
     if spec.family == LOGISTIC:
-        s = 2.0 * yi - 1.0
-        return _softplus(-s * (x @ params))
-    if spec.family == SOFTMAX:
-        h = x @ unpack_softmax(spec, params)
-    else:
-        _, w, _, phi = _mlp_forward(spec, params, x)
-        h = phi @ w
+        return _softplus(-(2.0 * yi - 1.0) * h)
     z = h - h.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1)) + h.max(axis=1)
     return lse - h[np.arange(h.shape[0]), yi]
@@ -181,26 +262,15 @@ def grads_batch(spec: ModelSpec, params: np.ndarray, x, y) -> np.ndarray:
     params = check_params(spec, params)
     x = _as_batch(x)
     _check_features(spec, x)
+    q, state = _error(spec, params, x, _targets(spec, y))
+    if spec.family in (LEAST_SQUARES, LOGISTIC):
+        return q[:, None] * x
     n = x.shape[0]
-    if spec.family == LEAST_SQUARES:
-        y = np.asarray(y, dtype=np.float64).ravel()
-        r = x @ params - y
-        return r[:, None] * x
-    yi = np.asarray(y, dtype=np.int64).ravel()
-    if spec.family == LOGISTIC:
-        s = 2.0 * yi - 1.0
-        m = s * (x @ params)
-        coef = -expit(-m) * s
-        return coef[:, None] * x
     if spec.family == SOFTMAX:
-        w = unpack_softmax(spec, params)
-        q = _softmax_rows(x @ w) - _onehot(yi, spec.classes)
         # per sample: x outer q, flattened row-major to match params layout
         return np.einsum("ni,nk->nik", x, q).reshape(n, -1)
-    _, w, d, phi = _mlp_forward(spec, params, x)
-    q = _softmax_rows(phi @ w) - _onehot(yi, spec.classes)
-    r = (q @ w.T) * d                      # dl/da, shape (n, m)
-    grad_u = np.einsum("nm,ni->nmi", r, x).reshape(n, -1)
+    _, _, phi, back = state
+    grad_u = np.einsum("nm,ni->nmi", back, x).reshape(n, -1)
     grad_w = np.einsum("nm,nk->nmk", phi, q).reshape(n, -1)
     return np.hstack([grad_u, grad_w])
 
@@ -212,31 +282,17 @@ def param_grad(spec: ModelSpec, params, x, y) -> np.ndarray:
 def _mean_grad_fn(spec: ModelSpec, x: np.ndarray, y):
     """Unchecked closed-form `params -> mean gradient` over (x, y).
 
-    Labels are prepared once: the logistic sign s = 2y - 1 is folded into
-    the features (s = +-1 keeps every bit), softmax and mlp1 get one
-    one-hot array. Callers validate params.
+    Labels are prepared once. logistic_binary keeps a form of its own: the
+    sign s = 2y - 1 is folded into the features (s = +-1 keeps every bit),
+    so a call costs one expit where `_error` costs two; for hard labels both
+    give the same bits. Callers validate params.
     """
     n = x.shape[0]
-    if spec.family == LEAST_SQUARES:
-        yf = np.asarray(y, dtype=np.float64)
-        return lambda params: (x.T @ (x @ params - yf)) / n
     if spec.family == LOGISTIC:
         sx = (2.0 * np.asarray(y, dtype=np.float64) - 1.0)[:, None] * x
         return lambda params: -(sx.T @ expit(-(sx @ params))) / n
-    onehot = _onehot(np.asarray(y, np.int64), spec.classes)
-    if spec.family == SOFTMAX:
-        def grad(params):
-            q = _softmax_rows(x @ unpack_softmax(spec, params)) - onehot
-            return ((x.T @ q) / n).ravel()
-        return grad
-
-    def grad(params):
-        _, w, d, phi = _mlp_forward(spec, params, x)
-        q = _softmax_rows(phi @ w) - onehot
-        back = (q @ w.T) * d               # dl/da, shape (n, m)
-        return np.concatenate([((back.T @ x) / n).ravel(),
-                               ((phi.T @ q) / n).ravel()])
-    return grad
+    t = _targets(spec, y)
+    return lambda params: _mean_from_error(spec, x, *_error(spec, params, x, t))
 
 
 def mean_param_grad(spec: ModelSpec, params, ds: Dataset) -> np.ndarray:
@@ -251,10 +307,7 @@ def mixed_vjp_batch(spec: ModelSpec, params: np.ndarray, x, y,
                     v: np.ndarray) -> np.ndarray:
     """Rows of grad_x <param_grad(x_i, y_i), v>, shape (n, d).
 
-    Labels are treated as constants. Exact closed forms per family; for
-    mlp1 the piecewise-constant activation derivative has zero second
-    derivative almost everywhere, which matches directional differentiation
-    of the analytic parameter gradient.
+    Labels are treated as constants; the closed forms are `_mixed`'s.
     """
     params = check_params(spec, params)
     v = np.asarray(v, dtype=np.float64).ravel()
@@ -264,41 +317,8 @@ def mixed_vjp_batch(spec: ModelSpec, params: np.ndarray, x, y,
         raise DomainError("non-finite direction entry")
     x = _as_batch(x)
     _check_features(spec, x)
-
-    if spec.family == LEAST_SQUARES:
-        y = np.asarray(y, dtype=np.float64).ravel()
-        r = x @ params - y
-        return np.outer(x @ v, params) + r[:, None] * v[None, :]
-
-    if spec.family == LOGISTIC:
-        yi = np.asarray(y, dtype=np.int64).ravel()
-        s = 2.0 * yi - 1.0
-        m = s * (x @ params)
-        sig = expit(-m)
-        # d/dx [-sigma(-m) s x . v] with m = s w.x
-        return (sig * (1.0 - sig) * (x @ v))[:, None] * params[None, :] \
-            - (sig * s)[:, None] * v[None, :]
-
-    if spec.family == SOFTMAX:
-        w = unpack_softmax(spec, params)
-        vm = v.reshape(spec.input_dim, spec.classes)
-        p = _softmax_rows(x @ w)
-        q = p - _onehot(np.asarray(y, np.int64).ravel(), spec.classes)
-        s = x @ vm
-        return q @ vm.T + _jp_apply(p, s) @ w.T
-
-    u, w, d, phi = _mlp_forward(spec, params, x)
-    cut = spec.hidden * spec.input_dim
-    vu = v[:cut].reshape(spec.hidden, spec.input_dim)
-    vw = v[cut:].reshape(spec.hidden, spec.classes)
-    p = _softmax_rows(phi @ w)
-    q = p - _onehot(np.asarray(y, np.int64).ravel(), spec.classes)
-    # <grad_W l, Vw> = phi^T Vw q ; <grad_U l, Vu> = (D (W q))^T Vu x
-    t1 = ((q @ vw.T) * d) @ u
-    t2 = ((_jp_apply(p, phi @ vw) @ w.T) * d) @ u
-    t3 = ((q @ w.T) * d) @ vu
-    t4 = ((_jp_apply(p, ((x @ vu.T) * d) @ w) @ w.T) * d) @ u
-    return t1 + t2 + t3 + t4
+    q, state = _error(spec, params, x, _targets(spec, y))
+    return _mixed(spec, params, x, q, state, v)[0]
 
 
 def mixed_vjp(spec: ModelSpec, params, x, y, v) -> np.ndarray:
@@ -320,49 +340,13 @@ def _canceling_pass(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
       gx  = rows of grad_x <param_grad(x_i, t_i), r>,
       gt  = d<param_grad(x_i, t_i), r> / dt_i.
 
-    Every gradient is linear in the output error q = prediction - t, so
-    gt = -s where s is d<param_grad, r>/dq. Nothing is validated here: the
-    caller checks params once per attack.
+    One `_error` call feeds `_mean_from_error` for r and `_mixed` for gx;
+    every gradient is linear in q = prediction - t, so gt = -s. Nothing is
+    validated here: the caller checks params once per attack.
     """
-    n = x.shape[0]
-    if spec.family == LEAST_SQUARES:
-        q = x @ params - t
-        residual = g_mu + eps_d * ((x.T @ q) / n)
-        s = x @ residual
-        gx = np.outer(s, params) + q[:, None] * residual[None, :]
-        return residual, gx, -s
-    if spec.family == LOGISTIC:
-        z = x @ params
-        p, pn = expit(z), expit(-z)
-        # equals sigma(z) - t, but exact for hard labels where the naive
-        # difference would cancel away the digits of a converged merit
-        q = (1.0 - t) * p - t * pn
-        residual = g_mu + eps_d * ((x.T @ q) / n)
-        s = x @ residual
-        gx = (p * pn * s)[:, None] * params[None, :] \
-            + q[:, None] * residual[None, :]
-        return residual, gx, -s
-    if spec.family == SOFTMAX:
-        w = unpack_softmax(spec, params)
-        p = _softmax_rows(x @ w)
-        q = p - t
-        residual = g_mu + eps_d * ((x.T @ q) / n).ravel()
-        vm = residual.reshape(spec.input_dim, spec.classes)
-        s = x @ vm
-        gx = q @ vm.T + _jp_apply(p, s) @ w.T
-        return residual, gx, -s
-    u, w, d, phi = _mlp_forward(spec, params, x)
-    p = _softmax_rows(phi @ w)
-    q = p - t
-    back = (q @ w.T) * d                   # dl/da, shape (n, m)
-    residual = g_mu + eps_d * np.concatenate(
-        [((back.T @ x) / n).ravel(), ((phi.T @ q) / n).ravel()])
-    cut = spec.hidden * spec.input_dim
-    vu = residual[:cut].reshape(spec.hidden, spec.input_dim)
-    vw = residual[cut:].reshape(spec.hidden, spec.classes)
-    # <grad_W l, Vw> = phi^T Vw q ; <grad_U l, Vu> = (D (W q))^T Vu x
-    s = phi @ vw + ((x @ vu.T) * d) @ w
-    gx = ((q @ vw.T + _jp_apply(p, s) @ w.T) * d) @ u + back @ vu
+    q, state = _error(spec, params, x, t)
+    residual = g_mu + eps_d * _mean_from_error(spec, x, q, state)
+    gx, s = _mixed(spec, params, x, q, state, residual)
     return residual, gx, -s
 
 
@@ -375,14 +359,10 @@ def predict_batch(spec: ModelSpec, params: np.ndarray, x) -> np.ndarray:
         raise DomainError("predict is defined for classification families only")
     x = _as_batch(x)
     _check_features(spec, x)
+    h = _logits(spec, params, x)
     if spec.family == LOGISTIC:
         # sign rule with ties to class 0
-        return (x @ params > 0).astype(np.int64)
-    if spec.family == SOFTMAX:
-        h = x @ unpack_softmax(spec, params)
-    else:
-        _, w, _, phi = _mlp_forward(spec, params, x)
-        h = phi @ w
+        return (h > 0).astype(np.int64)
     return np.argmax(h, axis=1).astype(np.int64)
 
 

@@ -61,8 +61,8 @@ def alignment(spec: ModelSpec, params, ds: Dataset) -> float:
     params = check_params(spec, params)
     g = mean_param_grad(spec, params, ds)
     if spec.family == MLP1:
-        cut = spec.hidden * spec.input_dim
-        return float(output_block(spec, params).ravel() @ g[cut:])
+        return float(output_block(spec, params).ravel()
+                     @ output_block(spec, g).ravel())
     return float(params @ g)  # for softmax, trace(W^T G) in flat coordinates
 
 

@@ -11,7 +11,7 @@ from .data import Dataset
 from .errors import DomainError, TargetSelectionError
 from .mathcore import derive_seed, make_rng
 from .models import (MLP1, ModelSpec, _mean_grad_fn, accuracy, check_params,
-                     losses_batch)
+                     losses_batch, unpack_mlp)
 from .reachability import tau_threshold
 
 GRAD_ASCENT = "grad_ascent"
@@ -108,10 +108,8 @@ def scale_params(spec: ModelSpec, params, s: float) -> np.ndarray:
         raise DomainError("scale must be positive")
     if spec.family != MLP1:
         return s * params
-    out = params.copy()
-    cut = spec.hidden * spec.input_dim
-    out[cut:] *= s
-    return out
+    u, w = unpack_mlp(spec, params)
+    return np.concatenate([u.ravel(), (s * w).ravel()])
 
 
 def select_target(candidates: list[TargetCandidate], eps_d: float,

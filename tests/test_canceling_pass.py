@@ -5,6 +5,12 @@ the output error q = prediction - t, which is affine in t. A soft label
 therefore gives the same result as the t-weighted mix of the hard labels,
 so the public, hard-label kernels are an oracle for soft labels too; for
 hard labels the mix is exactly the public kernel's result.
+
+`_canceling_pass`, `grads_batch` and `mixed_vjp_batch` all run through
+`models._error`, `_mean_from_error` and `_mixed`, so the comparison with
+the public kernels checks the label mix and the reductions, not the
+closed forms themselves. The finite-difference test here and those in
+test_models.py are the independent check on the closed forms.
 """
 
 import numpy as np
@@ -13,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poisonlab.mathcore import make_rng
-from poisonlab.models import (ModelSpec, _canceling_pass, _onehot, grads_batch,
+from poisonlab.models import (ModelSpec, _canceling_pass, _targets, grads_batch,
                               mixed_vjp_batch, unpack_mlp)
 
 SPECS = [
@@ -45,7 +51,7 @@ def draw(spec, soft, seed):
     else:
         y = rng.integers(0, spec.classes, n)
         t = rng.dirichlet(np.ones(spec.classes), n) if soft \
-            else _onehot(y, spec.classes)
+            else _targets(spec, y)
     return rng, params, x, t, g_mu, eps_d
 
 

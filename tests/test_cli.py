@@ -42,11 +42,22 @@ SINGLE_TARGET_ERRORS = {
                           "eps_d"),
     # 20 clean and 2 poison points cannot fill 50 partitions
     "dpa_k_exceeds_set": ({"defense": {"name": "dpa", "k": 50}}, "defense.k"),
+    # 8 clean and 4 poison points: k <= 12, but the hash leaves a partition
+    # empty at each of these k
+    **{f"dpa_empty_partition_k{k}": (
+        {"dataset": {"generator": "or", "seed": 5, "reps": 2}, "eps_d": 0.5,
+         "defense": {"name": "dpa", "k": k}}, "defense.k: partition")
+       for k in (8, 10, 12)},
     # the canceling loop and training take no switches
     "removed_attack_option": ({"attack": {"options": {"polish": False}}},
                               "unknown AttackOptions keys: ['polish']"),
     "removed_train_option": ({"train": {"batch_size": 16}},
                              "unknown TrainOptions keys: ['batch_size']"),
+    # the run's seed derives the attack's
+    "attack_seed": ({"attack": {"options": {"seed": 5}}},
+                    "unknown AttackOptions keys: ['seed']"),
+    "matching_seed": ({"attack": {"name": "gradient_matching", "options": {
+        "seed": 5}}}, "unknown AttackOptions keys: ['seed']"),
     # gradient matching adds poison with fixed labels
     "matching_labels": ({"attack": {"name": "gradient_matching", "options": {
         "optimize_labels": True}}}, "['optimize_labels']"),
@@ -167,7 +178,8 @@ class TestResolveAndValidate:
         assert out["output"] == {"dir": ".", "poison": "./poison.json",
                                  "trace": "./trace.csv",
                                  "atoms": "./fw_atoms.json"}
-        assert out["attack"]["options"] == vars(pl.AttackOptions())
+        assert out["attack"]["options"] == {
+            k: v for k, v in vars(pl.AttackOptions()).items() if k != "seed"}
         assert out["train"] == vars(pl.TrainOptions())
         # Frank-Wolfe labels are class indices or real regression targets
         fw = {"name": "frank_wolfe",
@@ -480,6 +492,37 @@ class TestCliCommands:
         with np.errstate(all="ignore"):
             assert main(["attack", "--config", str(cfg_path)]) == 4
         assert "training diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, key", [
+        ("train", ["--epochs", "0"], "--epochs"),
+        ("train", ["--lr", "-1"], "--lr"),
+        ("threshold", ["--target", "w3", "--c-convention", "1"],
+         "--c-convention"),
+        ("make-target", ["--mode", "grad-ascent", "--eps-w", "-1"], "--eps-w"),
+        ("make-target", ["--mode", "grad-ascent", "--steps", "0"], "--steps"),
+        ("make-target", ["--mode", "scaled", "--params0", "w3",
+                         "--scale", "0"], "--scale"),
+        ("threshold", ["--target", "w2"], "--target: 2 parameter values"),
+        ("retrain", ["--target", "w2"], "--target: 2 parameter values")],
+        ids=["train-epochs", "train-lr", "threshold-c_convention",
+             "make_target-eps_w", "make_target-steps", "make_target-scale",
+             "threshold-short_target", "retrain-short_target"])
+    def test_bad_flag_exits_2(self, tmp_path, capsys, command, flags, key):
+        # w2 is too short for the 3-parameter model, w3 fits it
+        data = str(tmp_path / "or.json")
+        main(["gen-data", "--generator", "or", "--reps", "2", "--out", data])
+        for name in ("w2", "w3"):
+            ser.write_json_atomic(str(tmp_path / name), ser.params_to_obj(
+                np.array([0.1, 0.2, 0.3][:int(name[1])])))
+        inputs = {"train": ["--data", data, "--out", str(tmp_path / "p")],
+                  "threshold": ["--data", data],
+                  "make-target": ["--data", data, "--out", str(tmp_path / "t")],
+                  "retrain": ["--clean", data, "--test", data]}[command]
+        flags = [str(tmp_path / f) if f in ("w2", "w3") else f for f in flags]
+        assert main([command, *inputs, "--model", "logistic", *flags]) \
+            == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["or.json", "w2", "w3"]
 
     def test_model_alias_in_threshold(self, tmp_path):
         data = str(tmp_path / "or.json")

@@ -4,7 +4,9 @@
 an unchecked `params -> mean gradient` function. It must agree with the
 per-sample kernel, and `harness.train` built on it must reproduce, bit
 for bit, a loop that calls the public, validating `mean_param_grad` and
-`np.linalg.norm` every epoch.
+`np.linalg.norm` every epoch. Its logistic branch keeps a sign-folded
+form of its own, which must give the shared `_error` path's bits for hard
+labels.
 """
 
 import numpy as np
@@ -16,7 +18,8 @@ from poisonlab.data import CLASSIFICATION, REGRESSION, Dataset
 from poisonlab import harness
 from poisonlab.harness import TrainOptions, _smoothness_bound, train
 from poisonlab.mathcore import make_rng
-from poisonlab.models import (ModelSpec, _mean_grad_fn, grads_batch,
+from poisonlab.models import (ModelSpec, _error, _mean_from_error,
+                              _mean_grad_fn, _targets, grads_batch,
                               mean_param_grad)
 from poisonlab.optim import MOMENTUM, cosine_lr
 
@@ -49,6 +52,20 @@ def test_matches_mean_of_per_sample_grads(spec, seed, n, pscale):
     grads = grads_batch(spec, params, ds.x, ds.y)
     np.testing.assert_allclose(got, grads.mean(axis=0), rtol=1e-12,
                                atol=1e-12 * np.abs(grads).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+       pscale=st.floats(0.01, 30.0))
+def test_logistic_sign_folded_form_matches_shared_path(seed, n, pscale):
+    # the one family whose training kernel keeps a form of its own
+    spec = SPECS[1]
+    ds = draw_dataset(spec, seed, n)
+    params = pscale * make_rng(seed, stream=1).standard_normal(spec.param_dim)
+    folded = _mean_grad_fn(spec, ds.x, ds.y)(params)
+    shared = _mean_from_error(spec, ds.x, *_error(
+        spec, params, ds.x, _targets(spec, ds.y)))
+    assert np.array_equal(folded, shared)
 
 
 def reference_train(spec, ds, opts, seed):
