@@ -9,7 +9,8 @@ error, 3 data error, 4 attack divergence, 1 anything else.
 A pipeline config is checked once, by `validate_config`, against its
 pipeline's table in `_SCHEMAS`: the one statement of the keys a config
 may hold, with each key's type, range or names and default. The
-pipelines read only the normalised copy it returns.
+pipelines read only the normalised copy it returns. The subcommands'
+flags are checked the same way, against their tables in `_COMMANDS`.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def _output(**files):
 
 
 _SEED = {"seed": (int, None)}  # None: the run's seed
-_DATASET = _pick("generator", {
+_GENERATORS = {
     "or": {**_SEED, "reps": (int, 50, ">= 1"),
            "noise_sigma": (float, 0.05, ">= 0")},
     "gauss_class": {**_SEED, "n": (int, 1000, ">= 2"), "d": (int, 10, ">= 1"),
@@ -208,7 +209,8 @@ _DATASET = _pick("generator", {
               "split": (("train", "test"), "train"),
               "keep_classes": ([int], None, ">= 0")},
     "file": {**_SEED, "path": (_PATH, _REQUIRED)},
-}, default="file")
+}
+_DATASET = _pick("generator", _GENERATORS, default="file")
 
 
 def _dataset(obj, where, base_dir):
@@ -233,6 +235,7 @@ _MODEL = {"family": (FAMILIES, _REQUIRED), "input_dim": (int, None, ">= 1"),
           "classes": (int, None, ">= 2"), "hidden": (int, 0, ">= 0"),
           "leaky_slope": (float, 0.2)}
 _EPS_W = (float, None, ">= 0")  # on a given target: a label for select_target
+_STEPS = (int, 20, ">= 1")
 _TARGET = _pick("source", {
     "inline": {"values": ([float], _REQUIRED), "eps_w": _EPS_W},
     "file": {"path": (_PATH, _REQUIRED), "eps_w": _EPS_W},
@@ -240,7 +243,7 @@ _TARGET = _pick("source", {
                        "values": ([float], None), "eps_w": _EPS_W},
                       "path", "values"),
     "grad_ascent": {"eps_w": (float, _REQUIRED, ">= 0"),
-                    "steps": (int, 20, ">= 1")},
+                    "steps": _STEPS},
     "random": {"eps_w": (float, _REQUIRED, ">= 0")},
 })
 # each attack takes the options it reads: gradient matching adds poison
@@ -340,7 +343,7 @@ def _build_dataset(obj: dict, seed: int) -> Dataset:
 
 def resolve_dataset(obj, seed: int) -> Dataset:
     """Check and build a dataset from a config object or a shorthand name
-    or file path; the flag-style subcommands' entry point."""
+    or file path."""
     return _build_dataset(_dataset(obj, "dataset", "."), seed)
 
 
@@ -367,25 +370,39 @@ def _sized(values: np.ndarray, spec: ModelSpec, where: str) -> np.ndarray:
     return values
 
 
+def _read_params(path: str, spec: ModelSpec, where: str) -> np.ndarray:
+    return _sized(ser.params_from_obj(ser.read_json(path)), spec, where)
+
+
+def _fits(ds: Dataset, clean: Dataset, where: str) -> Dataset:
+    """`ds`, if it has the task and features of `clean`, the model's
+    training set."""
+    if (ds.task, ds.dim) != (clean.task, clean.dim):
+        raise ConfigError(f"{where}: a {ds.task} set of {ds.dim} features,"
+                          f" the model's is a {clean.task} set of {clean.dim}")
+    return ds
+
+
 def resolve_target(obj: dict, clean: Dataset, spec: ModelSpec,
                    train_opts: TrainOptions, seed: int,
-                   where: str = "target") -> np.ndarray:
-    """Parameters of a normalised target object."""
+                   where: str = "target", base=None) -> np.ndarray:
+    """Parameters of a normalised target object. `base`, if given, stands
+    for the model a corruption starts from (else trained on `clean`) or
+    the parameters a scaled target scales."""
     source = obj["source"]
     if source in ("grad_ascent", "random"):
-        base = train(spec, clean, train_opts, seed)
+        if base is None:
+            base = train(spec, clean, train_opts, seed)
         if source == "random":
             return random_corrupt(base, obj["eps_w"], seed=seed).params
         return grad_ascent_corrupt(clean, spec, base, obj["eps_w"],
                                    steps=obj["steps"], seed=seed).params
-    if source == "file" or (source == "scaled" and obj["path"] is not None):
-        key, values = "path", ser.params_from_obj(ser.read_json(obj["path"]))
-    else:
-        key, values = "values", np.asarray(obj["values"], dtype=np.float64)
-    _sized(values, spec, f"{where}.{key}")
-    if source == "scaled":
-        return scale_params(spec, values, obj["s"])
-    return values
+    if base is None and obj.get("path") is not None:
+        base = _read_params(obj["path"], spec, f"{where}.path")
+    elif base is None:
+        base = _sized(np.asarray(obj["values"], dtype=np.float64), spec,
+                      f"{where}.values")
+    return scale_params(spec, base, obj["s"]) if source == "scaled" else base
 
 
 def _run_named_attack(attack: dict, clean: Dataset, spec: ModelSpec, target,
@@ -412,9 +429,6 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
     train_opts = TrainOptions(**cfg["train"])
     clean = _build_dataset(cfg["dataset"], seed)
     spec = resolve_model(cfg["model"], clean)
-    test = None
-    if "test_dataset" in cfg:
-        test = _build_dataset(cfg["test_dataset"], derive_seed(seed, "test"))
     pipe, out, eps_d = cfg["pipeline"], cfg["output"], cfg["eps_d"]
     gc_opts = AttackOptions(**{**cfg["attack"].get("options", {}),
                                "seed": derive_seed(seed, "attack")})
@@ -426,6 +440,11 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
             raise ConfigError(f"eps_d: {eps_d} of {kept} clean points"
                               f"{' kept' if gc_opts.replace_mode else ''}"
                               " rounds to no poison point")
+    test = None
+    if "test_dataset" in cfg:
+        test = _fits(_build_dataset(cfg["test_dataset"],
+                                    derive_seed(seed, "test")),
+                     clean, "test_dataset")
 
     if pipe == "attack":
         target = resolve_target(cfg["target"], clean, spec, train_opts, seed)
@@ -528,24 +547,12 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
 
 
 # ---------------------------------------------------------------------------
-# flag-style subcommands
-
-# bounds of the flag-style commands' numeric flags, checked like config keys
-_FLAGS = {"epochs": (int, ">= 1"), "lr": (float, "> 0"),
-          "c_convention": (int, ">= 2"), "eps_w": (float, ">= 0"),
-          "steps": (int, ">= 1"), "scale": (float, "> 0")}
-
-
-def _check_flags(args):
-    for name, (kind, bound) in _FLAGS.items():
-        if getattr(args, name, None) is not None:
-            _check(kind, getattr(args, name), "--" + name.replace("_", "-"),
-                   ".", bound)
-
-
-def _params_flag(path: str, spec: ModelSpec, flag: str) -> np.ndarray:
-    return _sized(ser.params_from_obj(ser.read_json(path)), spec, flag)
-
+# subcommands
+#
+# Each subcommand's flags form a table in the config schema's form, keyed by
+# flag (_COMMANDS): build_parser makes the subparser from it and main checks
+# the parsed flags against it once. A flag that fills a config key takes
+# that key's entry.
 
 def _write_or_print(obj, out_path: str | None):
     text = ser.dumps(obj)
@@ -569,36 +576,34 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-_MODEL_ALIASES = {"logistic": "logistic_binary", "ls": "least_squares",
+_MODEL_ALIASES = {"ls": "least_squares", "logistic": "logistic_binary",
                   "softmax": "softmax_linear", "nn": "mlp1"}
 
 
 def _load_model(args, ds: Dataset) -> ModelSpec:
-    obj = {"family": _MODEL_ALIASES.get(args.model, args.model)}
-    if args.classes:
-        obj["classes"] = args.classes
-    if args.hidden:
-        obj["hidden"] = args.hidden
-    return resolve_model(_check(_MODEL, obj, "model", "."), ds)
+    return resolve_model({"family": _MODEL_ALIASES.get(args.model, args.model),
+                          "input_dim": None, "classes": args.classes,
+                          "hidden": args.hidden,
+                          "leaky_slope": _MODEL["leaky_slope"][1]}, ds)
 
 
 def cmd_train(args) -> int:
     seed = _env_seed(args.seed)
-    ds = resolve_dataset(args.data, seed)
+    ds = _build_dataset(args.data, seed)
     spec = _load_model(args, ds)
     opts = TrainOptions(epochs=args.epochs, lr=args.lr)
     params = train(spec, ds, opts, seed)
     ser.write_json_atomic(args.out, ser.params_to_obj(params, spec))
-    if ds.task == datamod.CLASSIFICATION:
+    if ds.task == datamod.CLASSIFICATION and spec.is_classification:
         sys.stdout.write(f"train_accuracy={100 * accuracy(spec, params, ds):.2f}\n")
     return EXIT_OK
 
 
 def cmd_threshold(args) -> int:
     seed = _env_seed(args.seed)
-    ds = resolve_dataset(args.data, seed)
+    ds = _build_dataset(args.data, seed)
     spec = _load_model(args, ds)
-    target = _params_flag(args.target, spec, "--target")
+    target = _read_params(args.target, spec, "--target")
     rep = tau_threshold(spec, target, ds, c_convention=args.c_convention)
     _write_or_print(asdict(rep), args.out)
     return EXIT_OK
@@ -606,35 +611,30 @@ def cmd_threshold(args) -> int:
 
 def cmd_make_target(args) -> int:
     seed = _env_seed(args.seed)
-    ds = resolve_dataset(args.data, seed)
+    ds = _build_dataset(args.data, seed)
     spec = _load_model(args, ds)
-    base = (_params_flag(args.params0, spec, "--params0") if args.params0
+    source = args.mode.replace("-", "_")
+    if args.params0 is None and source == "scaled":
+        raise ConfigError("scaled mode needs --params0")
+    base = (_read_params(args.params0, spec, "--params0") if args.params0
             else None)
-    if args.mode == "scaled":
-        if base is None:
-            raise ConfigError("scaled mode needs --params0")
-        params = scale_params(spec, base, args.scale)
-    else:
-        if base is None:
-            base = train(spec, ds, TrainOptions(), seed)
-        if args.mode == "grad-ascent":
-            params = grad_ascent_corrupt(ds, spec, base, args.eps_w,
-                                         steps=args.steps, seed=seed).params
-        else:
-            params = random_corrupt(base, args.eps_w, seed=seed).params
-    out = ser.params_to_obj(params, spec)
-    out["provenance"] = args.mode.replace("-", "_")
+    obj = {"source": source, "eps_w": args.eps_w, "steps": args.steps,
+           "s": args.scale}
+    out = ser.params_to_obj(
+        resolve_target(obj, ds, spec, TrainOptions(), seed, base=base), spec)
+    out["provenance"] = source
     ser.write_json_atomic(args.out, out)
     return EXIT_OK
 
 
 def cmd_retrain(args) -> int:
     seed = _env_seed(args.seed)
-    clean = resolve_dataset(args.clean, seed)
-    poison = resolve_dataset(args.poison, seed) if args.poison else None
-    test = resolve_dataset(args.test, seed)
+    clean = _build_dataset(args.clean, seed)
+    poison = (_fits(_build_dataset(args.poison, seed), clean, "--poison")
+              if args.poison else None)
+    test = _fits(_build_dataset(args.test, seed), clean, "--test")
     spec = _load_model(args, clean)
-    target = _params_flag(args.target, spec, "--target")
+    target = _read_params(args.target, spec, "--target")
     eps_d = poison.n / clean.n if poison is not None else 0.0
     report = retrain_and_eval(clean, poison, test, spec, target, seed,
                               eps_d=eps_d)
@@ -642,7 +642,8 @@ def cmd_retrain(args) -> int:
     return EXIT_OK
 
 
-def _config_cmd(args, pipeline: str) -> int:
+def _config_cmd(args) -> int:
+    pipeline = args.command.replace("-", "_")
     cfg = ser.read_json(args.config)
     if isinstance(cfg, dict) \
             and cfg.setdefault("pipeline", pipeline) != pipeline:
@@ -655,92 +656,71 @@ def _config_cmd(args, pipeline: str) -> int:
     return EXIT_OK
 
 
+_DATA = (_dataset, _REQUIRED)
+_MODEL_FLAGS = {"--model": ((*FAMILIES, *_MODEL_ALIASES), _REQUIRED),
+                "--classes": _MODEL["classes"], "--hidden": _MODEL["hidden"]}
+_SEED_FLAG = {"--seed": (int, 0)}
+_CONFIG = {"--config": (str, _REQUIRED)}
+# subcommand: (function, help, flag table)
+_COMMANDS = {
+    "gen-data": (cmd_gen_data, "write a synthetic dataset as JSON", {
+        "--generator": (("or", "gauss_class", "gauss_reg", "toy3"), _REQUIRED),
+        "--out": (str, _REQUIRED), "--reps": _GENERATORS["or"]["reps"],
+        "--noise": _GENERATORS["or"]["noise_sigma"],
+        **{"--" + k: _GENERATORS["gauss_class"][k] for k in ("n", "d", "sep")},
+        "--w-true": ([float], None), **_SEED_FLAG}),
+    "train": (cmd_train, "train a model on a dataset", {
+        "--data": _DATA, **_MODEL_FLAGS, "--out": (str, _REQUIRED),
+        "--epochs": (int, TrainOptions.epochs, ">= 1"),
+        "--lr": (float, TrainOptions.lr, "> 0"), **_SEED_FLAG}),
+    "threshold": (cmd_threshold, "reachability report for a target", {
+        "--data": _DATA, **_MODEL_FLAGS, "--target": (_PATH, _REQUIRED),
+        "--c-convention": (int, None, ">= 2"), "--out": (str, None),
+        **_SEED_FLAG}),
+    "make-target": (cmd_make_target, "corrupt or scale parameters", {
+        "--data": _DATA, **_MODEL_FLAGS,
+        "--mode": (("grad-ascent", "random", "scaled"), _REQUIRED),
+        "--eps-w": (float, 0.5, ">= 0"), "--steps": _STEPS,
+        "--scale": (float, 1.0, "> 0"), "--params0": (_PATH, None),
+        "--out": (str, _REQUIRED), **_SEED_FLAG}),
+    "retrain": (cmd_retrain, "retrain on clean + poison and report", {
+        "--clean": _DATA, "--poison": (_dataset, None), "--test": _DATA,
+        **_MODEL_FLAGS, "--target": (_PATH, _REQUIRED), "--out": (str, None),
+        **_SEED_FLAG}),
+    "attack": (_config_cmd, "run the attack pipeline", _CONFIG),
+    "sweep": (_config_cmd, "run the sweep pipeline", {
+        **_CONFIG, "--jobs": (int, os.cpu_count() or 1, ">= 1")}),
+    "defend": (_config_cmd, "run the defend pipeline", _CONFIG),
+    "select-target": (_config_cmd, "run the select_target pipeline", _CONFIG),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per table in _COMMANDS; a flag left out is absent
+    from the parsed namespace."""
     p = argparse.ArgumentParser(prog="poisonlab")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-
-    sp = sub.add_parser("gen-data", help="write a synthetic dataset as JSON")
-    sp.add_argument("--generator", required=True,
-                    choices=["or", "gauss_class", "gauss_reg", "toy3"])
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--reps", type=int, default=50)
-    sp.add_argument("--noise", type=float, default=0.05)
-    sp.add_argument("--n", type=int, default=1000)
-    sp.add_argument("--d", type=int, default=10)
-    sp.add_argument("--sep", type=float, default=2.0)
-    sp.add_argument("--w-true", nargs="*", type=float, default=None)
-    add_common(sp)
-    sp.set_defaults(func=cmd_gen_data)
-
-    def add_model_flags(sp):
-        sp.add_argument("--model", required=True,
-                        choices=["least_squares", "logistic_binary",
-                                 "softmax_linear", "mlp1",
-                                 "ls", "logistic", "softmax", "nn"])
-        sp.add_argument("--classes", type=int, default=0)
-        sp.add_argument("--hidden", type=int, default=0)
-
-    sp = sub.add_parser("train", help="train a model on a dataset")
-    sp.add_argument("--data", required=True)
-    add_model_flags(sp)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--epochs", type=int, default=1000)
-    sp.add_argument("--lr", type=float, default=0.5)
-    add_common(sp)
-    sp.set_defaults(func=cmd_train)
-
-    sp = sub.add_parser("threshold", help="reachability report for a target")
-    sp.add_argument("--data", required=True)
-    add_model_flags(sp)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--c-convention", type=int, default=None)
-    sp.add_argument("--out", default=None)
-    add_common(sp)
-    sp.set_defaults(func=cmd_threshold)
-
-    sp = sub.add_parser("make-target", help="corrupt or scale parameters")
-    sp.add_argument("--data", required=True)
-    add_model_flags(sp)
-    sp.add_argument("--mode", required=True,
-                    choices=["grad-ascent", "random", "scaled"])
-    sp.add_argument("--eps-w", type=float, default=0.5)
-    sp.add_argument("--steps", type=int, default=20)
-    sp.add_argument("--scale", type=float, default=1.0)
-    sp.add_argument("--params0", default=None)
-    sp.add_argument("--out", required=True)
-    add_common(sp)
-    sp.set_defaults(func=cmd_make_target)
-
-    sp = sub.add_parser("retrain", help="retrain on clean + poison and report")
-    sp.add_argument("--clean", required=True)
-    sp.add_argument("--poison", default=None)
-    sp.add_argument("--test", required=True)
-    add_model_flags(sp)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--out", default=None)
-    add_common(sp)
-    sp.set_defaults(func=cmd_retrain)
-
-    for names, pipeline in (("attack", "attack"), ("sweep", "sweep"),
-                            ("defend", "defend"),
-                            ("select-target", "select_target")):
-        sp = sub.add_parser(names, help=f"run the {pipeline} pipeline")
-        sp.add_argument("--config", required=True)
-        if pipeline == "sweep":
-            sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-        sp.set_defaults(func=lambda a, _p=pipeline: _config_cmd(a, _p))
+    for name, (_, text, table) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text,
+                            argument_default=argparse.SUPPRESS)
+        for flag, (kind, default, *_) in table.items():
+            sp.add_argument(flag, required=default is _REQUIRED, **(
+                {"choices": kind} if isinstance(kind, tuple) else
+                {"nargs": "*", "type": kind[0]} if isinstance(kind, list) else
+                {"type": kind} if kind in (int, float) else {}))
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    func, _, table = _COMMANDS[args.command]
     try:
-        _check_flags(args)
-        return args.func(args)
+        # argparse stores --eps-w as eps_w
+        given = {"--" + k.replace("_", "-"): v for k, v in vars(args).items()
+                 if k != "command"}
+        for flag, value in _check_table(table, given, "", ".").items():
+            setattr(args, flag[2:].replace("-", "_"), value)
+        return func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -63,6 +63,10 @@ SINGLE_TARGET_ERRORS = {
         "optimize_labels": True}}}, "['optimize_labels']"),
     "matching_replace": ({"attack": {"name": "gradient_matching", "options": {
         "replace_mode": True}}}, "['replace_mode']"),
+    # defend only: 4 features against the model's 3
+    "test_dataset_dim": ({"test_dataset": {"generator": "gauss_class", "n": 20,
+                                           "d": 3}},
+                         "test_dataset: a classification set of 4 features"),
 }
 
 
@@ -196,6 +200,13 @@ class TestCliCommands:
                      "--out", data]) == 0
         assert main(["train", "--data", data, "--model", "logistic_binary",
                      "--out", params]) == 0
+        assert capsys.readouterr().out.startswith("train_accuracy=")
+        # a least-squares model fits the 0/1 labels and reports no accuracy
+        ls_params = str(tmp_path / "ls.json")
+        assert main(["train", "--data", data, "--model", "ls",
+                     "--out", ls_params]) == 0
+        assert "accuracy" not in capsys.readouterr().out
+        assert ser.read_json(ls_params)["model"]["family"] == "least_squares"
         report = str(tmp_path / "report.json")
         assert main(["threshold", "--data", data, "--model",
                      "logistic_binary", "--target", params,
@@ -281,9 +292,13 @@ class TestCliCommands:
                       {"source": "inline", "values": [-0.7]}]},
          "targets[1].values"),
         ({"targets": [{"source": "inline", "values": [-0.7, None, 0.35]}]},
-         "targets[0].values[1]")],
+         "targets[0].values[1]"),
+        ({"targets": [{"source": "inline", "values": [-0.7, -0.7, 0.35]}],
+          "test_dataset": {"generator": "gauss_class", "n": 20, "d": 3}},
+         "test_dataset: a classification set of 4 features")],
         ids=["singular_target", "empty_targets", "negative_eps_w",
-             "negative_steps", "short_values", "null_value"])
+             "negative_steps", "short_values", "null_value",
+             "test_dataset_dim"])
     def test_target_grid_required(self, tmp_path, capsys, command, targets,
                                   key):
         cfg = {"dataset": {"generator": "or", "seed": 0, "reps": 5},
@@ -302,7 +317,8 @@ class TestCliCommands:
         pytest.param(pipeline, change, key, id=f"{pipeline}-{name}")
         for pipeline in ("attack", "defend")
         for name, (change, key) in SINGLE_TARGET_ERRORS.items()
-        if pipeline == "defend" or "defense" not in change])
+        if pipeline == "defend"
+        or not {"defense", "test_dataset"} & set(change)])
     def test_single_target_required(self, tmp_path, capsys, pipeline, change,
                                     key):
         cfg = {"dataset": {"generator": "or", "seed": 5, "reps": 5},
@@ -503,24 +519,45 @@ class TestCliCommands:
         ("make-target", ["--mode", "scaled", "--params0", "w3",
                          "--scale", "0"], "--scale"),
         ("threshold", ["--target", "w2"], "--target: 2 parameter values"),
-        ("retrain", ["--target", "w2"], "--target: 2 parameter values")],
+        ("retrain", ["--target", "w2"], "--target: 2 parameter values"),
+        ("sweep", ["--jobs", "0"], "--jobs"),
+        ("gen-data", ["--reps", "0"], "--reps"),
+        ("retrain", ["--target", "w3", "--poison", "g4"],
+         "--poison: a classification set of 4 features"),
+        # the last --test given is the one used
+        ("retrain", ["--target", "w3", "--test", "g4"],
+         "--test: a classification set of 4 features")],
         ids=["train-epochs", "train-lr", "threshold-c_convention",
              "make_target-eps_w", "make_target-steps", "make_target-scale",
-             "threshold-short_target", "retrain-short_target"])
-    def test_bad_flag_exits_2(self, tmp_path, capsys, command, flags, key):
-        # w2 is too short for the 3-parameter model, w3 fits it
+             "threshold-short_target", "retrain-short_target", "sweep-jobs",
+             "gen_data-reps", "retrain-poison_dim", "retrain-test_dim"])
+    def test_bad_flag_exits_2(self, tmp_path, tmp_path_factory, capsys,
+                              command, flags, key):
+        # w2 is too short for the 3-parameter model, w3 fits it; g4 has one
+        # feature more than the model takes
         data = str(tmp_path / "or.json")
         main(["gen-data", "--generator", "or", "--reps", "2", "--out", data])
         for name in ("w2", "w3"):
             ser.write_json_atomic(str(tmp_path / name), ser.params_to_obj(
                 np.array([0.1, 0.2, 0.3][:int(name[1])])))
-        inputs = {"train": ["--data", data, "--out", str(tmp_path / "p")],
-                  "threshold": ["--data", data],
-                  "make-target": ["--data", data, "--out", str(tmp_path / "t")],
-                  "retrain": ["--clean", data, "--test", data]}[command]
-        flags = [str(tmp_path / f) if f in ("w2", "w3") else f for f in flags]
-        assert main([command, *inputs, "--model", "logistic", *flags]) \
-            == EXIT_CONFIG
+        g4 = str(tmp_path_factory.mktemp("sets") / "g4.json")
+        main(["gen-data", "--generator", "gauss_class", "--n", "20",
+              "--d", "3", "--out", g4])
+        model = ["--model", "logistic"]
+        inputs = {"train": ["--data", data, "--out", str(tmp_path / "p"),
+                            *model],
+                  "threshold": ["--data", data, *model],
+                  "make-target": ["--data", data, "--out", str(tmp_path / "t"),
+                                  *model],
+                  "retrain": ["--clean", data, "--test", data, *model],
+                  "gen-data": ["--generator", "or", "--out",
+                               str(tmp_path / "d")],
+                  # the flags are checked before the config is read
+                  "sweep": ["--config", str(tmp_path / "cfg.json")]}[command]
+        files = {"w2": str(tmp_path / "w2"), "w3": str(tmp_path / "w3"),
+                 "g4": g4}
+        flags = [files.get(f, f) for f in flags]
+        assert main([command, *inputs, *flags]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["or.json", "w2", "w3"]
 
