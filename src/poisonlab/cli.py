@@ -33,13 +33,14 @@ from . import serialize as ser
 from .attack import (AttackOptions, GridDomain, LineDomain, _replace_keep,
                      frank_wolfe_attack, gradient_canceling, gradient_matching)
 from .data import Dataset, concat
-from .defense import dpa_predict, dpa_train, sever_filter
+from .defense import (certificate_from_counts, dpa_train, dpa_votes,
+                      sever_filter)
 from .errors import (AttackDivergence, ConfigError, DomainError,
                      EmptyPartitionError, IdxFormatError, PoisonLabError)
-from .harness import (SWEEP_COLUMNS, TrainOptions, retrain_and_eval,
-                      sweep_heatmap, train)
+from .harness import (SWEEP_COLUMNS, TrainOptions, eval_report,
+                      retrain_and_eval, sweep_heatmap, train)
 from .mathcore import derive_seed
-from .models import FAMILIES, ModelSpec, accuracy
+from .models import FAMILIES, LEAST_SQUARES, ModelSpec, accuracy
 from .optim import round_half_up
 from .reachability import ratio_to_lambda, tau_threshold
 from .targetgen import (TargetCandidate, grad_ascent_corrupt, random_corrupt,
@@ -347,11 +348,16 @@ def resolve_dataset(obj, seed: int) -> Dataset:
     return _build_dataset(_dataset(obj, "dataset", "."), seed)
 
 
-def resolve_model(obj: dict, ds: Dataset) -> ModelSpec:
-    """Build the spec of a normalised model object for dataset `ds`."""
+def resolve_model(obj: dict, ds: Dataset,
+                  where: str = "model.family") -> ModelSpec:
+    """Build the spec of a normalised model object for dataset `ds`;
+    `where` names the family's key or flag."""
     if obj["input_dim"] not in (None, ds.dim):
         raise ConfigError(f"model.input_dim is {obj['input_dim']}, the"
                           f" dataset has {ds.dim} features")
+    if obj["family"] != LEAST_SQUARES and ds.task != datamod.CLASSIFICATION:
+        raise ConfigError(f"{where}: {obj['family']} needs a classification"
+                          f" set, the dataset is a {ds.task} set")
     classes = obj["classes"]
     if classes is None:
         classes = ds.classes if ds.task == datamod.CLASSIFICATION else 2
@@ -503,26 +509,33 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
         ser.write_json_atomic(out["target"], obj)
         return {"target": out["target"]}
 
-    # defend: attack, retrain with and without the defense, report both
-    target = resolve_target(cfg["target"], clean, spec, train_opts, seed)
+    # defend: attack, retrain with and without the defense, report both;
+    # each training set trains once, the clean one also for a corruption
+    base = (train(spec, clean, train_opts, seed) if cfg["target"]["source"]
+            in ("grad_ascent", "random") else None)
+    target = resolve_target(cfg["target"], clean, spec, train_opts, seed,
+                            base=base)
     result = _run_named_attack(cfg["attack"], clean, spec, target, eps_d,
                                gc_opts)
     rep = tau_threshold(spec, target, clean) if spec.is_classification else None
     tau = rep.tau if rep else 0.0
-    base_clean = result.kept_clean if result.kept_clean is not None else clean
-    undefended = retrain_and_eval(base_clean, result.poison, test, spec, target,
-                                  seed, train_opts, eps_d=eps_d, tau=tau)
+    if result.kept_clean is not None:
+        clean, base = result.kept_clean, None
+    clean_params = train(spec, clean, train_opts, seed) if base is None else base
+    mixed = concat(clean, result.poison)
+    mixed_params = train(spec, mixed, train_opts, seed)
+    undefended = eval_report(spec, mixed_params, clean_params, mixed, test,
+                             target, seed, eps_d, tau)
     defense = cfg["defense"]
-    mixed = concat(base_clean, result.poison)
     report = {"undefended": asdict(undefended), "eps_d": eps_d, "tau": tau}
     if defense["name"] == "sever":
-        mixed_params = train(spec, mixed, train_opts, seed)
         filtered = sever_filter(mixed, spec, mixed_params, defense["fraction"],
                                 rounds=defense["rounds"],
                                 train_opts=train_opts,
                                 seed=derive_seed(seed, "sever"))
-        defended = retrain_and_eval(filtered, None, test, spec, target, seed,
-                                    train_opts, eps_d=eps_d, tau=tau)
+        defended = eval_report(spec, train(spec, filtered, train_opts, seed),
+                               clean_params, filtered, test, target, seed,
+                               eps_d, tau)
         report["defended"] = asdict(defended)
     else:
         k = defense["k"]
@@ -531,15 +544,14 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
                                  train_opts=train_opts)
         except EmptyPartitionError as exc:
             raise ConfigError(f"defense.k: {exc}") from exc
-        correct = certified = 0
-        budget = result.poison.n
-        for i in range(test.n):
-            label, cert = dpa_predict(ensemble, test.x[i])
-            correct += int(label == int(test.y[i]))
-            certified += int(cert >= budget and label == int(test.y[i]))
+        # one vote over the whole test set, one certificate per row
+        labels, certs = np.array([certificate_from_counts(counts) for counts
+                                  in dpa_votes(ensemble, test.x)]).T
+        correct = labels == test.y
+        certified = correct & (certs >= result.poison.n)
         report["defended"] = {
-            "dpa_accuracy": 100.0 * correct / test.n,
-            "certified_accuracy": 100.0 * certified / test.n,
+            "dpa_accuracy": 100.0 * int(correct.sum()) / test.n,
+            "certified_accuracy": 100.0 * int(certified.sum()) / test.n,
             "k": k,
         }
     ser.write_json_atomic(out["report"], report)
@@ -584,7 +596,8 @@ def _load_model(args, ds: Dataset) -> ModelSpec:
     return resolve_model({"family": _MODEL_ALIASES.get(args.model, args.model),
                           "input_dim": None, "classes": args.classes,
                           "hidden": args.hidden,
-                          "leaky_slope": _MODEL["leaky_slope"][1]}, ds)
+                          "leaky_slope": _MODEL["leaky_slope"][1]}, ds,
+                         "--model")
 
 
 def cmd_train(args) -> int:

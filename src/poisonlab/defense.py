@@ -11,7 +11,7 @@ from .data import Dataset
 from .errors import DomainError, EmptyPartitionError
 from .mathcore import derive_seed, top_singular_vector
 from .models import ModelSpec, grads_batch, predict_batch
-from .harness import TrainOptions, train
+from .harness import TrainOptions, train, train_stack
 
 
 def sever_filter(mixed: Dataset, spec: ModelSpec, trained, fraction: float,
@@ -72,20 +72,21 @@ def partition_of(index: int, seed: int, k: int) -> int:
 
 def dpa_train(mixed: Dataset, spec: ModelSpec, k: int, seed: int = 0,
               train_opts: TrainOptions | None = None) -> Ensemble:
-    """Train one base model per hash partition of the training set."""
+    """Train one base model per hash partition of the training set, all in
+    one stacked loop (`harness.train_stack`)."""
     if k < 1:
         raise DomainError("k must be >= 1")
     if k > mixed.n:
         raise EmptyPartitionError(f"k={k} exceeds the {mixed.n} samples")
     assign = np.array([partition_of(i, seed, k) for i in range(mixed.n)])
-    opts = train_opts or TrainOptions()
-    members = []
+    parts = []
     for j in range(k):
         idx = np.nonzero(assign == j)[0]
         if idx.size == 0:
             raise EmptyPartitionError(f"partition {j} of {k} received no samples")
-        members.append(train(spec, mixed.subset(idx), opts,
-                             derive_seed(seed, "dpa", j)))
+        parts.append(mixed.subset(idx))
+    members = train_stack(spec, parts, train_opts,
+                          [derive_seed(seed, "dpa", j) for j in range(k)])
     return Ensemble(k=k, members=tuple(members), seed=seed, spec=spec)
 
 

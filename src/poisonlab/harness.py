@@ -94,6 +94,47 @@ def train(spec: ModelSpec, ds: Dataset, opts: TrainOptions | None = None,
     return params
 
 
+def train_stack(spec: ModelSpec, parts, opts: TrainOptions | None,
+                seeds) -> list[np.ndarray]:
+    """`train(spec, parts[j], opts, seeds[j])` for every j, with the
+    classification parts of at most _SGD_SWITCH_N samples zero-padded to
+    one (k, m, d) stack and trained in one momentum loop over (k, p)
+    parameters. Each model keeps its init, lr, grad_tol stop and
+    non-finite error, and equals its `train` result to rounding."""
+    opts = opts or TrainOptions()
+    stack = [j for j, part in enumerate(parts)
+             if part.n <= _SGD_SWITCH_N and spec.is_classification]
+    out = {}
+    if stack:
+        n = [parts[j].n for j in stack]
+        x = np.zeros((len(stack), max(n), spec.input_dim))
+        y = np.zeros(x.shape[:2])
+        for i, j in enumerate(stack):
+            x[i, :n[i]], y[i, :n[i]] = parts[j].x, parts[j].y
+        grad = _mean_grad_fn(spec, x, y, n)
+        params = np.stack([check_params(spec, spec.init_params(
+            make_rng(seeds[j], stream=5), opts.init_scale)) for j in stack])
+        lr = np.array([[opts.lr / max(1.0, _smoothness_bound(spec, parts[j]))]
+                       for j in stack])
+        vel, live = np.zeros_like(params), np.ones((len(stack), 1), dtype=bool)
+        for epoch in range(opts.epochs):
+            g = grad(params)
+            gn = np.sqrt((g * g).sum(axis=1))
+            if not np.isfinite(gn).all():
+                # as in train: DomainError if that iterate is non-finite
+                check_params(spec, params[np.argmin(np.isfinite(gn))])
+                raise AttackDivergence(f"training diverged at epoch {epoch}")
+            live[:, 0] &= gn >= opts.grad_tol  # a stopped row freezes
+            if not live.any():
+                break
+            vel = np.where(live, MOMENTUM * vel + g, vel)
+            params = np.where(
+                live, params - cosine_lr(lr, epoch, opts.epochs) * vel, params)
+        out = dict(zip(stack, params))
+    return [out[j] if j in out else train(spec, part, opts, seeds[j])
+            for j, part in enumerate(parts)]
+
+
 def retrain_and_eval(clean: Dataset, poison: Dataset | None, test: Dataset,
                      spec: ModelSpec, target, seed: int,
                      train_opts: TrainOptions | None = None,
@@ -111,10 +152,18 @@ def retrain_and_eval(clean: Dataset, poison: Dataset | None, test: Dataset,
         mixed = concat(clean, poison)
     else:
         mixed = clean
-    retrained = train(spec, mixed, opts, seed)
     if clean_params is None:
         clean_params = train(spec, clean, opts, seed)
+    return eval_report(spec, train(spec, mixed, opts, seed), clean_params,
+                       mixed, test, target, seed, eps_d, tau)
 
+
+def eval_report(spec: ModelSpec, retrained: np.ndarray,
+                clean_params: np.ndarray, mixed: Dataset, test: Dataset,
+                target, seed: int, eps_d: float = float("nan"),
+                tau: float = float("nan")) -> EvalReport:
+    """`retrain_and_eval`'s report for models already trained: `retrained`
+    on `mixed`, and the clean model `clean_params`."""
     if test.task == CLASSIFICATION and spec.is_classification:
         clean_acc = 100.0 * accuracy(spec, clean_params, test)
         poisoned_acc = 100.0 * accuracy(spec, retrained, test)

@@ -597,6 +597,81 @@ class TestCliCommands:
         assert lines[0] == "epoch,merit,grad_norm" and len(lines) == 202
 
 
+class TestModelTaskAndDefend:
+    def test_classification_family_on_regression_set_flag(self, tmp_path,
+                                                          capsys):
+        reg = str(tmp_path / "reg.json")
+        main(["gen-data", "--generator", "gauss_reg", "--w-true", "1", "-2",
+              "--out", reg])
+        assert main(["train", "--data", reg, "--model", "logistic",
+                     "--out", str(tmp_path / "p.json")]) == EXIT_CONFIG
+        assert "--model: logistic_binary needs a classification set" \
+            in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["reg.json"]
+        # least squares fits a classification set's labels as numbers
+        xor = str(tmp_path / "or.json")
+        main(["gen-data", "--generator", "or", "--out", xor])
+        assert main(["train", "--data", xor, "--model", "ls",
+                     "--out", str(tmp_path / "ls.json")]) == 0
+
+    def test_classification_family_on_regression_set_config(self, tmp_path,
+                                                            capsys):
+        cfg = {"pipeline": "attack",
+               "dataset": {"generator": "gauss_reg", "n": 50,
+                           "w_true": [1.0, -2.0]},
+               "model": {"family": "logistic_binary"},
+               "target": {"source": "random", "eps_w": 0.5},
+               "output": {"dir": str(tmp_path)}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["attack", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert "model.family: logistic_binary needs a classification set" \
+            in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    def test_sever_defended_clean_acc_is_the_clean_models(self, tmp_path):
+        # the defended report once retrained the filtered set as its clean
+        # model: clean_acc 54 against the clean model's 41, acc_drop 0
+        gauss = {"generator": "gauss_class", "n": 200, "d": 2, "sep": 0.5}
+        cfg = {"pipeline": "defend", "seed": 0,
+               "dataset": {**gauss, "seed": 0},
+               "test_dataset": {**gauss, "seed": 900},
+               "model": {"family": "logistic_binary"},
+               "target": {"source": "grad_ascent", "eps_w": 1.0},
+               "eps_d": 0.2,
+               "attack": {"options": {"epochs": 200}},
+               "defense": {"name": "sever", "rounds": 2},
+               "output": {"report": str(tmp_path / "rep.json")}}
+        run(cfg)
+        report = ser.read_json(str(tmp_path / "rep.json"))
+        undefended, defended = report["undefended"], report["defended"]
+        assert defended["clean_acc"] == undefended["clean_acc"] == 41.0
+        assert defended["acc_drop"] == \
+            defended["clean_acc"] - defended["poisoned_acc"] != 0.0
+
+    def test_dpa_divergence_exit_code(self, tmp_path, capsys, monkeypatch):
+        # only the partition models take train.lr 1e6: the pipeline's
+        # single models train at the default options
+        monkeypatch.setattr(cli, "train", lambda spec, ds, opts, seed:
+                            pl.train(spec, ds, pl.TrainOptions(), seed))
+        cfg = {"pipeline": "defend", "seed": 0,
+               "dataset": {"generator": "or", "seed": 0, "reps": 5},
+               "test_dataset": {"generator": "or", "seed": 900, "reps": 2},
+               "model": {"family": "mlp1", "hidden": 2},
+               "train": {"lr": 1e6},
+               "target": {"source": "random", "eps_w": 0.1},
+               "eps_d": 0.1,
+               "attack": {"options": {"epochs": 20}},
+               "defense": {"name": "dpa", "k": 4},
+               "output": {"report": str(tmp_path / "rep.json")}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with np.errstate(all="ignore"):
+            assert main(["defend", "--config", str(cfg_path)]) == 4
+        assert "training diverged" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
 MUTATED_CONFIGS = ("d6_toy_blocked", "defense_sever", "fig1_small",
                    "select_target", "d3_leastsq_gc")
 DELETE = "<delete>"
