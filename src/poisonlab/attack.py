@@ -73,10 +73,6 @@ class AttackResult:
     eps_d: float
     kept_clean: Dataset | None = None  # replace mode: the retained clean subset
 
-    @property
-    def grad_norm_trace(self) -> np.ndarray:
-        return np.sqrt(2.0 * self.merit_trace) / (1.0 + self.eps_d)
-
 
 def project_admissible(points: np.ndarray, box: np.ndarray, clip_mode: str,
                        clean_range: np.ndarray | None = None) -> np.ndarray:
@@ -115,8 +111,6 @@ def _init_poison(mu: Dataset, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _harden_labels(spec: ModelSpec, soft: np.ndarray) -> np.ndarray:
-    if spec.family == LEAST_SQUARES:
-        return soft
     if spec.family == LOGISTIC:
         return (soft > 0.5).astype(np.int64)
     return np.argmax(soft, axis=1).astype(np.int64)
@@ -313,17 +307,23 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     if not (np.isfinite(closing) and closing < best_merit):
         xs, t = best_xs, best_t
 
+    # optimized class labels harden before the polish, which then fits the
+    # features to them; square-loss labels stay free reals through it
+    free_reals = free and spec.family == LEAST_SQUARES
+    if free and not free_reals:
+        ys = _harden_labels(spec, t)
+        t = _targets(spec, ys)
+
     # Quasi-Newton finishing pass (bound-constrained when clipping) from
     # the best iterate. The per-epoch trace stays pure momentum descent;
     # only the returned poison set benefits. Plain descent zigzags in the
     # curved valleys of the canceling objective and can report a target
     # as blocked when it is merely hard; the polish removes that false
     # plateau while leaving genuinely infeasible targets at their floor.
-    xs, t = _polish(spec, target, xs, t, free and spec.family == LEAST_SQUARES,
-                    g_mu, eps_d, mu.domain_box, opts.clip_mode, clean_range)
-
-    if free:
-        ys = _harden_labels(spec, t)
+    xs, t = _polish(spec, target, xs, t, free_reals, g_mu, eps_d,
+                    mu.domain_box, opts.clip_mode, clean_range)
+    if free_reals:
+        ys = t
     residual = g_mu + eps_d * (grads_batch(spec, target, xs, ys).mean(axis=0))
     final_merit = 0.5 * float(residual @ residual)
     poison = Dataset(xs, ys, mu.task, mu.classes, mu.domain_box)

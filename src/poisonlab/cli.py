@@ -451,6 +451,9 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
         test = _fits(_build_dataset(cfg["test_dataset"],
                                     derive_seed(seed, "test")),
                      clean, "test_dataset")
+    targets = [resolve_target(t, clean, spec, train_opts,
+                              derive_seed(seed, "target", i), f"targets[{i}]")
+               for i, t in enumerate(cfg.get("targets", ()))]
 
     if pipe == "attack":
         target = resolve_target(cfg["target"], clean, spec, train_opts, seed)
@@ -463,26 +466,20 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
                 "atoms_y": result.atom_y[result.weights > 0].tolist(),
             })
             outputs = {"atoms": out["atoms"]}
-            trace_rows = [{"epoch": i, "merit": float(m),
-                           "grad_norm": float(np.sqrt(2 * m)) / (1 + eps_d)}
-                          for i, m in enumerate(result.objective_trace)]
+            merits = result.objective_trace
         else:
             ser.write_json_atomic(out["poison"], ser.dataset_to_obj(result.poison))
             outputs = {"poison": out["poison"]}
-            norms = result.grad_norm_trace
-            trace_rows = [{"epoch": i, "merit": float(m),
-                           "grad_norm": float(norms[i])}
-                          for i, m in enumerate(result.merit_trace)]
+            merits = result.merit_trace
+        norms = np.sqrt(2.0 * merits) / (1.0 + eps_d)
         ser.write_text_atomic(out["trace"], ser.csv_lines(
-            ("epoch", "merit", "grad_norm"), trace_rows))
+            ("epoch", "merit", "grad_norm"),
+            [{"epoch": i, "merit": float(m), "grad_norm": float(g)}
+             for i, (m, g) in enumerate(zip(merits, norms))]))
         outputs["trace"] = out["trace"]
         return outputs
 
     if pipe == "sweep":
-        targets = [resolve_target(t, clean, spec, train_opts,
-                                  derive_seed(seed, "target", i),
-                                  f"targets[{i}]")
-                   for i, t in enumerate(cfg["targets"])]
         with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
               else nullcontext()) as pool:
             rows = sweep_heatmap(clean, test, spec, targets, eps_d, gc_opts,
@@ -495,12 +492,10 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
         # test_dataset serves as the validation set here, never as the
         # held-out test set
         candidates = [TargetCandidate(
-            resolve_target(t, clean, spec, train_opts,
-                           derive_seed(seed, "target", i), f"targets[{i}]"),
-            eps_w=math.nan if t["eps_w"] is None else t["eps_w"],
+            params, eps_w=math.nan if t["eps_w"] is None else t["eps_w"],
             provenance=t["source"] if t["source"] in
             ("grad_ascent", "random", "scaled") else "external")
-            for i, t in enumerate(cfg["targets"])]
+            for params, t in zip(targets, cfg["targets"])]
         chosen = select_target(candidates, eps_d, clean, test, spec, gc_opts)
         obj = ser.params_to_obj(chosen.params, spec)
         obj["provenance"] = chosen.provenance
@@ -517,8 +512,7 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
                             base=base)
     result = _run_named_attack(cfg["attack"], clean, spec, target, eps_d,
                                gc_opts)
-    rep = tau_threshold(spec, target, clean) if spec.is_classification else None
-    tau = rep.tau if rep else 0.0
+    tau = tau_threshold(spec, target, clean).tau
     if result.kept_clean is not None:
         clean, base = result.kept_clean, None
     clean_params = train(spec, clean, train_opts, seed) if base is None else base
@@ -593,10 +587,9 @@ _MODEL_ALIASES = {"ls": "least_squares", "logistic": "logistic_binary",
 
 
 def _load_model(args, ds: Dataset) -> ModelSpec:
-    return resolve_model({"family": _MODEL_ALIASES.get(args.model, args.model),
-                          "input_dim": None, "classes": args.classes,
-                          "hidden": args.hidden,
-                          "leaky_slope": _MODEL["leaky_slope"][1]}, ds,
+    obj = {"family": _MODEL_ALIASES.get(args.model, args.model),
+           "classes": args.classes, "hidden": args.hidden}
+    return resolve_model(_check_table(_MODEL, obj, "model", "."), ds,
                          "--model")
 
 

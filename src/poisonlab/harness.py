@@ -226,6 +226,9 @@ def sweep_cell(clean: Dataset, test: Dataset, spec: ModelSpec, target,
         row["tau"] = rep.tau
         gc = gradient_canceling(clean, spec, target, eps_d,
                                 replace(gc_opts, seed=seed))
+        if gc.kept_clean is not None:
+            # replace mode: both models train on the clean points it kept
+            clean, clean_params = gc.kept_clean, None
         ev = retrain_and_eval(clean, gc.poison, test, spec, target, seed,
                               train_opts, clean_params=clean_params,
                               eps_d=eps_d, tau=rep.tau)

@@ -1,10 +1,11 @@
 """Scalar special functions, dense linear-algebra helpers, and seeded randomness.
 
-Everything here is pure and deterministic: the Lambert W solver is plain
-floating-point iteration, the power iteration starts from a fixed internal
-seed, and random streams are Philox counter-based generators keyed by
-(seed, stream). Philox is the project-wide generator and must not change,
-since test expectations are frozen against its output.
+Everything here is pure and deterministic: Lambert W is scipy's
+`scipy.special.lambertw` on the principal branch, the power iteration
+starts from a fixed internal seed, and random streams are Philox
+counter-based generators keyed by (seed, stream). Philox is the
+project-wide generator and must not change, since test expectations are
+frozen against its output.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from scipy.special import lambertw
 
 from .errors import DomainError
 
 _INV_E = float(np.exp(-1.0))
 # x may undershoot -1/e by this much before we call it a domain error
 _BRANCH_SLACK = 1e-15
-# inside this distance of the branch point the series alone is full precision
-_SERIES_WINDOW = 1e-6
 
 _POWER_ITER_SEED = 0x5EED_50F7
 _POWER_ITERS = 200
@@ -48,57 +48,21 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest, "big") & 0x7FFFFFFFFFFFFFFF
 
 
-def _branch_series(p: float) -> float:
-    # series in p = sqrt(2(e*x + 1)) about the branch point
-    return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0
-                       + p * (-43.0 / 540.0 + p * (769.0 / 17280.0)))))
-
-
 def lambert_w0(x: float) -> float:
     """Principal branch of Lambert's W: the w >= -1 solving w*exp(w) = x.
 
-    Halley iteration from a log-based (or branch-series) initial guess;
-    within 1e-6 of the branch point x = -1/e the series in
-    sqrt(2(e*x + 1)) is used directly, which avoids the w = -1 pole in
-    the Halley denominator.
-
-    Raises DomainError for x < -1/e (beyond a 1e-15 slack).
+    scipy's `lambertw` on branch 0, but x <= -1/e gives -1 (scipy gives
+    nan at -1/e). Raises DomainError for non-finite x and for x < -1/e
+    beyond a 1e-15 slack.
     """
     x = float(x)
     if not np.isfinite(x):
         raise DomainError(f"lambert_w0 requires finite x, got {x!r}")
     if x < -_INV_E - _BRANCH_SLACK:
         raise DomainError(f"lambert_w0 undefined for x={x!r} < -1/e")
-    x = max(x, -_INV_E)
-    if x == 0.0:
-        return 0.0
-
-    p2 = 2.0 * (np.e * x + 1.0)
-    if p2 <= 0.0:
+    if x <= -_INV_E:
         return -1.0
-    p = np.sqrt(p2)
-    if x < -_INV_E + _SERIES_WINDOW:
-        return _branch_series(p)
-
-    if x < 0.0:
-        w = _branch_series(p)
-    elif x < np.e:
-        w = np.log1p(x)
-    else:
-        lx = np.log(x)
-        w = lx - np.log(lx)
-
-    for _ in range(100):
-        ew = np.exp(w)
-        f = w * ew - x
-        wp1 = w + 1.0
-        # Halley step; wp1 cannot vanish here because the series window
-        # already handled the neighborhood of w = -1
-        dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= dw
-        if abs(dw) <= 1e-16 * (2.0 + abs(w)):
-            break
-    return float(w)
+    return float(lambertw(x).real)
 
 
 def top_singular_vector(m: np.ndarray) -> tuple[np.ndarray, float]:

@@ -66,35 +66,21 @@ def alignment(spec: ModelSpec, params, ds: Dataset) -> float:
     return float(params @ g)  # for softmax, trace(W^T G) in flat coordinates
 
 
-_LOSS_DERIVS = {}
-
-
-def _register(name):
-    def deco(fn):
-        _LOSS_DERIVS[name] = fn
-        return fn
-    return deco
-
-
-@_register("logistic")
 def _logistic_tlp(t):
     t = np.asarray(t, dtype=np.float64)
     return -t / (1.0 + np.exp(np.clip(t, -700, 700)))
 
 
-@_register("hinge")
 def _hinge_tlp(t):
     t = np.asarray(t, dtype=np.float64)
     return np.where(t < 1.0, -t, 0.0)
 
 
-@_register("exponential")
 def _exponential_tlp(t):
     t = np.asarray(t, dtype=np.float64)
     return -t * np.exp(np.clip(-t, -700, 700))
 
 
-@_register("dichotomy")
 def _dichotomy_tlp(t):
     # smoothed one-sided loss: l' = -4 e^{-2} on t <= -1/2,
     # -exp(1/t)/t^2 on (-1/2, 0), 0 on t >= 0
@@ -106,6 +92,10 @@ def _dichotomy_tlp(t):
     out[mid] = -np.exp(1.0 / t[mid]) / t[mid]
     return out
 
+
+# t * l'(t) for each margin loss a bounded range grids over
+_LOSS_DERIVS = {"logistic": _logistic_tlp, "hinge": _hinge_tlp,
+                "exponential": _exponential_tlp, "dichotomy": _dichotomy_tlp}
 
 _ANALYTIC_BOUNDS = {
     "square": (-np.inf, np.inf),

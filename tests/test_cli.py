@@ -595,6 +595,10 @@ class TestCliCommands:
         assert abs(sum(atoms["weights"]) - 1.0) <= 1e-9
         lines = (tmp_path / "fw_trace.csv").read_text().splitlines()
         assert lines[0] == "epoch,merit,grad_norm" and len(lines) == 202
+        # the attack trace's one formula, at eps_d 1
+        for line in lines[1:]:
+            _, merit, grad_norm = map(float, line.split(","))
+            assert grad_norm == np.sqrt(2.0 * merit) / 2.0
 
 
 class TestModelTaskAndDefend:

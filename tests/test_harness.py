@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import poisonlab as pl
 from poisonlab import harness
-from poisonlab.attack import AttackOptions
+from poisonlab.attack import AttackOptions, gradient_canceling
 from poisonlab.errors import DomainError
 from poisonlab.harness import (SWEEP_COLUMNS, TrainOptions, retrain_and_eval,
                                sweep_heatmap, train)
@@ -105,6 +107,23 @@ class TestSweep:
                               seed, clean_params=clean_params, eps_d=0.5)
         assert row["acc_drop"] == ev.acc_drop
         assert row["final_merit"] == res.final_merit
+
+    def test_replace_mode_cell_retrains_on_kept_clean(self, or_test,
+                                                      logistic3):
+        # both models train on the clean points the attack kept, as in
+        # defend; on all clean points the row read grad_norm 0.0714
+        clean = pl.gen_or(3, reps=20)
+        target = np.array([-0.14, -0.14, 0.07])
+        opts = AttackOptions(lr=5.0, epochs=300, replace_mode=True)
+        row = harness.sweep_cell(clean, or_test, logistic3, target, 0, 0.2,
+                                 opts, 7, None, train(logistic3, clean))
+        gc = gradient_canceling(clean, logistic3, target, 0.2,
+                                replace(opts, seed=7))
+        ev = retrain_and_eval(gc.kept_clean, gc.poison, or_test, logistic3,
+                              target, 7, eps_d=0.2)
+        assert gc.kept_clean.n == 66 and gc.poison.n == 13
+        assert row["grad_norm"] == ev.grad_norm_at_target < 0.01
+        assert row["acc_drop"] == ev.acc_drop
 
     def test_row_order_and_columns(self, or_data, or_test, logistic3):
         targets = [np.array([-0.7, -0.7, 0.35]), np.array([-1.0, -0.7, 0.4])]

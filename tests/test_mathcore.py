@@ -35,6 +35,16 @@ class TestLambertW:
         assert abs(got - 0.27846) <= 5e-6
         assert round(got, 2) == 0.28
 
+    def test_branch_point_and_threshold_denominators(self):
+        # -1 exactly at and just inside the slack below -1/e, where
+        # scipy's lambertw gives nan; W(1/e) and W(2/e), the c = 2 and 3
+        # threshold denominators of every shipped config, to the last bit
+        # that the committed out/ files were computed with
+        assert lambert_w0(-INV_E) == -1.0
+        assert lambert_w0(-INV_E - 5e-16) == -1.0
+        assert lambert_w0(INV_E) == 0.2784645427610738
+        assert lambert_w0(2.0 * INV_E) == 0.4630555133655489
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             lambert_w0(-INV_E - 1e-9)
