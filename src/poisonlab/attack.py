@@ -72,6 +72,7 @@ class AttackResult:
     final_grad_norm: float
     eps_d: float
     kept_clean: Dataset | None = None  # replace mode: the retained clean subset
+    grad_norm_trace: np.ndarray | None = None  # gradient matching only
 
 
 def project_admissible(points: np.ndarray, box: np.ndarray, clip_mode: str,
@@ -365,8 +366,8 @@ def gradient_matching(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     Minimizes the cosine dissimilarity 1 - <g_rev(mu), g(nu)> / (|..||..|)
     over the poison features with the same optimizer and projection stack
     as gradient canceling. merit_trace records the dissimilarity;
-    final_grad_norm still reports the mixture gradient norm at the target
-    so runs are comparable with gradient canceling.
+    grad_norm_trace and final_grad_norm report the mixture gradient norm
+    at the target, so runs are comparable with gradient canceling.
     """
     opts = opts or AttackOptions()
     if opts.optimize_labels or opts.replace_mode:
@@ -383,12 +384,17 @@ def gradient_matching(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     g_mu = mean_param_grad(spec, target, clean)
     clean_range = np.stack([clean.x.min(axis=0), clean.x.max(axis=0)], axis=1)
 
+    def mix_norm(g_nu):
+        return float(np.linalg.norm(g_mu + eps_d * g_nu)) / (1.0 + eps_d)
+
     vel = np.zeros_like(xs)
     trace = np.empty(opts.epochs)
+    norms = np.empty(opts.epochs)
     for epoch in range(opts.epochs):
         lr_t = cosine_lr(opts.lr, epoch, opts.epochs)
         g_nu = grads_batch(spec, target, xs, ys).mean(axis=0)
         nrm_nu = float(np.linalg.norm(g_nu))
+        norms[epoch] = mix_norm(g_nu)
         if nrm_nu < 1e-300:
             trace[epoch] = 1.0
             continue
@@ -409,11 +415,10 @@ def gradient_matching(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     nrm_nu = float(np.linalg.norm(g_nu))
     final = max(1.0 - float(g_rev @ g_nu) / (nrm_rev * nrm_nu), 0.0) \
         if nrm_nu > 0 else 1.0
-    mix = g_mu + eps_d * g_nu
     poison = Dataset(xs, ys, clean.task, clean.classes, clean.domain_box)
     return AttackResult(poison=poison, merit_trace=trace, final_merit=final,
-                        final_grad_norm=float(np.linalg.norm(mix)) / (1.0 + eps_d),
-                        eps_d=eps_d)
+                        final_grad_norm=mix_norm(g_nu), eps_d=eps_d,
+                        grad_norm_trace=norms)
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +467,6 @@ class FrankWolfeResult:
     weights: np.ndarray         # (A,) simplex weights of the final measure
     objective_trace: np.ndarray  # length T+1, canceling objective per iterate
     support_trace: np.ndarray   # support size after each iterate
-
-    def support(self) -> list[tuple[np.ndarray, float, float]]:
-        live = np.nonzero(self.weights > 0)[0]
-        return [(self.atom_x[i], float(self.atom_y[i]), float(self.weights[i]))
-                for i in live]
 
 
 def frank_wolfe_attack(clean: Dataset, spec: ModelSpec, target, eps_d: float,

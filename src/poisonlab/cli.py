@@ -466,12 +466,13 @@ def run(cfg: dict, jobs: int = 1, base_dir: str = ".") -> dict:
                 "atoms_y": result.atom_y[result.weights > 0].tolist(),
             })
             outputs = {"atoms": out["atoms"]}
-            merits = result.objective_trace
+            merits, norms = result.objective_trace, None
         else:
             ser.write_json_atomic(out["poison"], ser.dataset_to_obj(result.poison))
             outputs = {"poison": out["poison"]}
-            merits = result.merit_trace
-        norms = np.sqrt(2.0 * merits) / (1.0 + eps_d)
+            merits, norms = result.merit_trace, result.grad_norm_trace
+        if norms is None:  # a canceling merit is half the squared norm
+            norms = np.sqrt(2.0 * merits) / (1.0 + eps_d)
         ser.write_text_atomic(out["trace"], ser.csv_lines(
             ("epoch", "merit", "grad_norm"),
             [{"epoch": i, "merit": float(m), "grad_norm": float(g)}
@@ -570,14 +571,15 @@ def _write_or_print(obj, out_path: str | None):
 
 def cmd_gen_data(args) -> int:
     seed = _env_seed(args.seed)
-    obj = {"generator": args.generator, "seed": seed}
-    if args.generator == "or":
-        obj.update(reps=args.reps, noise_sigma=args.noise)
-    elif args.generator == "gauss_class":
-        obj.update(n=args.n, d=args.d, sep=args.sep)
-    elif args.generator == "gauss_reg":
-        obj.update(n=args.n, w_true=args.w_true, noise=args.noise)
-    ds = resolve_dataset(obj, seed)
+    keys, table = _GEN_FLAGS[args.generator], _GENERATORS[args.generator]
+    given = {"--" + k.replace("_", "-"): v for k, v in vars(args).items()
+             if v is not None and k not in ("command", "generator", "out",
+                                            "seed")}
+    checked = _check_table({flag: table[key] for flag, key in keys.items()},
+                           given, "", ".", f"--generator {args.generator}")
+    ds = resolve_dataset({"generator": args.generator, "seed": seed,
+                          **{keys[flag]: v for flag, v in checked.items()}},
+                         seed)
     ser.write_json_atomic(args.out, ser.dataset_to_obj(ds))
     return EXIT_OK
 
@@ -666,15 +668,20 @@ _DATA = (_dataset, _REQUIRED)
 _MODEL_FLAGS = {"--model": ((*FAMILIES, *_MODEL_ALIASES), _REQUIRED),
                 "--classes": _MODEL["classes"], "--hidden": _MODEL["hidden"]}
 _SEED_FLAG = {"--seed": (int, 0)}
+# gen-data's flag for each key of a generator's table; cmd_gen_data checks
+# the flags given against the chosen generator's table, so another's exits 2
+_GEN_FLAGS = {gen: {"--noise" if key == "noise_sigma"
+                    else "--" + key.replace("_", "-"): key
+                    for key in _GENERATORS[gen] if key != "seed"}
+              for gen in ("or", "gauss_class", "gauss_reg", "toy3")}
 _CONFIG = {"--config": (str, _REQUIRED)}
 # subcommand: (function, help, flag table)
 _COMMANDS = {
     "gen-data": (cmd_gen_data, "write a synthetic dataset as JSON", {
-        "--generator": (("or", "gauss_class", "gauss_reg", "toy3"), _REQUIRED),
-        "--out": (str, _REQUIRED), "--reps": _GENERATORS["or"]["reps"],
-        "--noise": _GENERATORS["or"]["noise_sigma"],
-        **{"--" + k: _GENERATORS["gauss_class"][k] for k in ("n", "d", "sep")},
-        "--w-true": ([float], None), **_SEED_FLAG}),
+        "--generator": (tuple(_GEN_FLAGS), _REQUIRED),
+        "--out": (str, _REQUIRED), **_SEED_FLAG,
+        **{flag: (_GENERATORS[gen][key][0], None)
+           for gen, keys in _GEN_FLAGS.items() for flag, key in keys.items()}}),
     "train": (cmd_train, "train a model on a dataset", {
         "--data": _DATA, **_MODEL_FLAGS, "--out": (str, _REQUIRED),
         "--epochs": (int, TrainOptions.epochs, ">= 1"),

@@ -1,9 +1,9 @@
 """Scalar special functions, dense linear-algebra helpers, and seeded randomness.
 
 Everything here is pure and deterministic: Lambert W is scipy's
-`scipy.special.lambertw` on the principal branch, the power iteration
-starts from a fixed internal seed, and random streams are Philox
-counter-based generators keyed by (seed, stream). Philox is the
+`scipy.special.lambertw` on the principal branch, the top singular vector
+is LAPACK's (`np.linalg.svd`) with a fixed sign, and random streams are
+Philox counter-based generators keyed by (seed, stream). Philox is the
 project-wide generator and must not change, since test expectations are
 frozen against its output.
 """
@@ -20,10 +20,6 @@ from .errors import DomainError
 _INV_E = float(np.exp(-1.0))
 # x may undershoot -1/e by this much before we call it a domain error
 _BRANCH_SLACK = 1e-15
-
-_POWER_ITER_SEED = 0x5EED_50F7
-_POWER_ITERS = 200
-_POWER_TOL = 1e-12
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -66,43 +62,18 @@ def lambert_w0(x: float) -> float:
 
 
 def top_singular_vector(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Top right-singular vector and singular value of a dense matrix.
-
-    Power iteration on m.T @ m from a fixed internal seed; at most 200
-    iterations or until the relative change drops below 1e-12, so the
-    result is deterministic. The sign is canonicalized so the largest-
-    magnitude component of v is positive. The all-zero matrix returns
-    sigma = 0 with v = e_1.
+    """Top right-singular vector and singular value of a dense matrix by
+    LAPACK's thin SVD, exact to rounding even for close singular values.
+    v's largest-magnitude component is positive; the zero matrix gives
+    (e_1, 0). DomainError for an empty, non-2-D or non-finite matrix.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DomainError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
-    d = m.shape[1]
-    if not np.any(m):
-        v = np.zeros(d)
-        v[0] = 1.0
-        return v, 0.0
-
-    a = m.T @ m
-    rng = make_rng(_POWER_ITER_SEED, stream=d)
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    for _ in range(_POWER_ITERS):
-        av = a @ v
-        norm = np.linalg.norm(av)
-        if norm == 0.0:
-            # v landed in the null space; restart deterministically
-            v = rng.standard_normal(d)
-            v /= np.linalg.norm(v)
-            continue
-        v_new = av / norm
-        if 1.0 - abs(float(v_new @ v)) < _POWER_TOL:
-            v = v_new
-            break
-        v = v_new
-
-    i = int(np.argmax(np.abs(v)))
-    if v[i] < 0:
-        v = -v
-    sigma = float(np.linalg.norm(m @ v))
-    return v, sigma
+    if not np.isfinite(m).all():
+        raise DomainError("top_singular_vector requires finite entries")
+    if not m.any():
+        return np.eye(1, m.shape[1])[0], 0.0
+    _, s, vt = np.linalg.svd(m, full_matrices=False)
+    v = vt[0]
+    return v * np.sign(v[np.argmax(np.abs(v))]), float(s[0])

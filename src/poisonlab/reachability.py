@@ -283,12 +283,10 @@ def membership_check(g_mu, grads, lam: float, tol: float = 1e-9) -> bool:
 
 
 def nn_necessary_tau(spec: ModelSpec, params, ds: Dataset) -> float:
-    """Necessary lower bound on the poison ratio for a one-hidden-layer net.
-
-    Applies the multiclass trace condition to the output block alone,
+    """Necessary lower bound on the poison ratio for a one-hidden-layer net:
+    `tau_threshold`'s multiclass trace condition on the output block alone,
     treating the hidden activations as fixed features.
     """
     if spec.family != MLP1:
         raise DomainError("nn_necessary_tau applies to mlp1 only")
-    align = alignment(spec, params, ds)
-    return max(align / lambert_w0((spec.classes - 1) / np.e), 0.0)
+    return tau_threshold(spec, params, ds).tau

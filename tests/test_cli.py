@@ -561,6 +561,35 @@ class TestCliCommands:
         assert key in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["or.json", "w2", "w3"]
 
+    @pytest.mark.parametrize("flags, key, value", [
+        (["--n", "1"], "n", 1), (["--noise", "-0.5"], "noise", -0.5)],
+        ids=["n", "noise"])
+    def test_gen_data_gauss_reg_flags_take_its_bounds(self, tmp_path, flags,
+                                                      key, value):
+        # gauss_reg allows n >= 1 and any noise; the flags once took
+        # gauss_class's n >= 2 and or's noise_sigma >= 0
+        out = str(tmp_path / "reg.json")
+        assert main(["gen-data", "--generator", "gauss_reg", "--w-true", "2",
+                     "--seed", "4", "--out", out, *flags]) == 0
+        obj = {"generator": "gauss_reg", "seed": 4, "w_true": [2.0],
+               key: value}
+        assert ser.read_json(out) == ser.dataset_to_obj(
+            resolve_dataset(obj, 4))
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--generator", "gauss_class", "--n", "1"], "--n must be"),
+        (["--generator", "or", "--n", "5"], "'--n'"),
+        (["--generator", "gauss_reg", "--w-true", "1", "--reps", "3"],
+         "'--reps'"),
+        (["--generator", "gauss_reg"], "--w-true is required")],
+        ids=["class_n", "or_n", "reg_reps", "reg_no_w_true"])
+    def test_gen_data_bad_generator_flag_exits_2(self, tmp_path, capsys,
+                                                 flags, key):
+        assert main(["gen-data", *flags, "--out",
+                     str(tmp_path / "d.json")]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_model_alias_in_threshold(self, tmp_path):
         data = str(tmp_path / "or.json")
         params = str(tmp_path / "w.json")
@@ -599,6 +628,31 @@ class TestCliCommands:
         for line in lines[1:]:
             _, merit, grad_norm = map(float, line.split(","))
             assert grad_norm == np.sqrt(2.0 * merit) / 2.0
+
+    def test_matching_trace_grad_norm_is_the_mixture_norm(self, tmp_path):
+        # at eps_d 1 the initial poison set is a permutation of the clean
+        # set, so row 0's mixture norm is |g(mu)|; the cosine-based formula
+        # gave sqrt(2 * 2) / 2 = 1 here, since least squares reverses g(mu)
+        gen = {"generator": "gauss_reg", "seed": 3, "n": 40,
+               "w_true": [1.0, -1.0], "noise": 0.1}
+        target = [0.5, 2.0, -1.0]
+        cfg = {"pipeline": "attack", "seed": 0, "dataset": gen,
+               "model": {"family": "least_squares"},
+               "target": {"source": "inline", "values": target},
+               "eps_d": 1.0,
+               "attack": {"name": "gradient_matching",
+                          "options": {"lr": 1.0, "epochs": 5}},
+               "output": {"dir": str(tmp_path)}}
+        outputs = run(cfg)
+        rows = [line.split(",") for line in
+                open(outputs["trace"]).read().splitlines()[1:]]
+        clean = resolve_dataset(gen, 0)
+        spec = pl.ModelSpec("least_squares", clean.dim)
+        g_mu = pl.mean_param_grad(spec, np.array(target), clean)
+        assert len(rows) == 5 and float(rows[0][1]) == pytest.approx(2.0)
+        assert float(rows[0][2]) == pytest.approx(np.linalg.norm(g_mu),
+                                                  rel=1e-12)
+        assert abs(np.linalg.norm(g_mu) - 1.0) > 0.1
 
 
 class TestModelTaskAndDefend:

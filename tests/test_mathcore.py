@@ -118,6 +118,25 @@ class TestTopSingularVector:
         v2, s2 = top_singular_vector(m.copy())
         assert np.array_equal(v1, v2) and s1 == s2
 
+    def test_near_degenerate_spectrum(self):
+        # the top two singular values differ by 0.1%, where a power
+        # iteration gains only a factor (1 - 1e-3)^2 per step
+        rng = make_rng(21)
+        u, _ = np.linalg.qr(rng.standard_normal((8, 3)))
+        w, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        m = u @ np.diag([1.0, 1.0 - 1e-3, 0.3]) @ w.T
+        v, s = top_singular_vector(m)
+        assert abs(s - 1.0) <= 1e-12
+        assert abs(float(v @ w[:, 0])) >= 1.0 - 1e-12
+        assert v[np.argmax(np.abs(v))] > 0
+
+    @pytest.mark.parametrize("m", [np.zeros((0, 2)), np.zeros(3),
+                                   np.array([[1.0, np.nan]]),
+                                   np.array([[np.inf, 0.0], [0.0, 1.0]])])
+    def test_bad_input_raises_domain_error(self, m):
+        with pytest.raises(DomainError):
+            top_singular_vector(m)
+
 
 class TestRng:
     def test_reproducible(self):
