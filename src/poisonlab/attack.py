@@ -4,21 +4,25 @@ The workhorse is gradient canceling: hold the target fixed, and move the
 poison features so that the ratio-weighted poison gradient cancels the
 clean mean gradient,
 
-    minimize over poison points  (1/2) || g(mu) + eps_d * g(nu) ||^2,
+    minimize over poison points  (1/2) || g(mu) + eps_d * g(nu) ||^2.
 
-by full-batch projected gradient descent with momentum, guarded by a
-nonmonotone backtracking rule, then polished by L-BFGS-B. Each epoch
-makes one fused pass over the poison set (`models._canceling_pass`): a
-single forward pass yields the residual g(mu) + eps_d g(nu), the
-per-point feature update (the mixed second-order product of the loss,
-scaled by 1/n with n the clean count) and the label gradient. Labels
-enter that pass as float targets built once per attack, so hard and
-optimized soft labels share one code path. The polish evaluates the
-same pass; only the reported final merit goes back through the public,
-validating kernels. Gradient matching optimizes a cosine dissimilarity
-against a reversed-loss gradient instead, and the Frank-Wolfe variant
-optimizes the poison distribution itself as a weighted atom set over a
-discretized domain.
+L-BFGS-B runs first, from the seeded start set. Where it reaches
+REACH_TOL, which a reachable target usually lets it do, its poison set
+is returned. Where it falls short (a blocked target, whose floor point
+decides the retrained damage), the solve is discarded and the start set
+goes through full-batch projected gradient descent with momentum,
+guarded by a nonmonotone backtracking rule, then a closing L-BFGS-B
+polish. Each epoch and each L-BFGS-B evaluation makes one fused pass
+over the poison set (`models._canceling_pass`): a single forward pass
+yields the residual g(mu) + eps_d g(nu), the per-point feature update
+(the mixed second-order product of the loss, scaled by 1/n with n the
+clean count) and the label gradient. Labels enter that pass as float
+targets built once per attack, so hard and optimized soft labels share
+one code path. Only the reported final merit goes back through the
+public, validating kernels. Gradient matching optimizes a cosine
+dissimilarity against a reversed-loss gradient instead, and the
+Frank-Wolfe variant optimizes the poison distribution itself as a
+weighted atom set over a discretized domain.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ CLIP_CLEAN_RANGE = "clean_range"
 CLIP_NONE = "none"
 
 _NONMONOTONE_WINDOW = 20
+# a canceling merit at or below this counts as reaching the target
+REACH_TOL = 1e-12
+# the closing polish's iteration cap, and the start-set solve's least one
+_POLISH_MAXITER = 1000
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,9 @@ class AttackResult:
     final_grad_norm: float
     eps_d: float
     kept_clean: Dataset | None = None  # replace mode: the retained clean subset
+    # canceling: the L-BFGS-B solve from the start set reached REACH_TOL,
+    # so the momentum loop did not run
+    start_solve: bool = False
     grad_norm_trace: np.ndarray | None = None  # gradient matching only
 
 
@@ -166,15 +177,21 @@ def _serial_scipy_blas():
 
 
 def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
-            clean_range):
+            clean_range, maxiter=_POLISH_MAXITER, ftol=1e-20, trace=None):
     """Bound-constrained quasi-Newton pass on the canceling objective.
 
     Optimizes the poison features, plus the label targets t when
     free_labels (optimized square-loss labels, which are free reals);
     otherwise t stays fixed. Each point weighs eps_d / count in the
     residual, which scales the gradient; n_eff = count / eps_d is n where
-    n * eps_d is an integer. Returns the improved (features, t), clamped
-    to the admissible set, only if the merit actually dropped.
+    n * eps_d is an integer. L-BFGS-B stops after maxiter iterations, on a
+    relative merit reduction of at most ftol, or by its own gradient and
+    line-search tests; the merit after each iteration is appended to
+    trace, if given. Returns the improved (features, t), clamped to the
+    admissible set, only if the merit actually dropped; a non-finite
+    residual raises DomainError. gradient_canceling runs it from the start
+    set (ftol 0, traced), and again after the momentum loop, with the
+    defaults, only where that solve fell short of REACH_TOL.
     """
     from scipy.optimize import minimize
 
@@ -202,11 +219,18 @@ def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
             grad = np.concatenate([grad, gt / n_eff])
         return 0.5 * float(residual @ residual), grad
 
+    # scipy hands the iterate's OptimizeResult to a callback whose one
+    # parameter has this name
+    def record(intermediate_result):
+        trace.append(intermediate_result.fun)
+
     start, _ = objective(x0)
     with _serial_scipy_blas():
         res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                       bounds=bounds, options={"maxiter": 1000, "ftol": 1e-20,
-                                               "gtol": 1e-16})
+                       bounds=bounds,
+                       callback=None if trace is None else record,
+                       options={"maxiter": maxiter, "ftol": ftol,
+                                "gtol": 1e-16})
     if not np.isfinite(res.fun) or res.fun >= start:
         return xs, t
     # L-BFGS-B can end a rounding error outside its bounds
@@ -220,13 +244,20 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     """Construct a poison set whose ratio-weighted gradient cancels g(mu).
 
     Poison features are initialized as a seeded subsample of the clean
-    data and updated by full-batch momentum descent on the canceling
-    objective, with per-step projection given by opts.clip_mode, then
-    polished by L-BFGS-B. Labels stay fixed unless opts.optimize_labels,
-    in which case soft labels are optimized on the simplex and hardened
-    at the end. replace_mode swaps the clean set for a seeded subset of
-    size floor(n / (1 + eps_d)) first, which models an attacker who
-    replaces rather than adds points.
+    data. L-BFGS-B runs from that start set first, for at most
+    max(opts.epochs, 1000) iterations (no fewer than the closing polish
+    may take); if it reaches REACH_TOL, its poison set is returned and
+    start_solve is True. Otherwise, or if the solve meets a non-finite
+    residual, it is discarded, and the start set goes through full-batch
+    momentum descent with per-step projection given by opts.clip_mode,
+    then a closing L-BFGS-B polish, exactly as if the solve had not run;
+    opts.lr steers only this loop. Labels stay fixed unless
+    opts.optimize_labels: square-loss labels are then free reals on both
+    paths, while class labels stay fixed in the solve and are optimized
+    as soft labels on the simplex in the loop, then hardened before its
+    polish. replace_mode swaps the clean set for a seeded subset of size
+    floor(n / (1 + eps_d)) first, which models an attacker who replaces
+    rather than adds points.
     """
     opts = opts or AttackOptions()
     target = check_params(spec, target)
@@ -253,14 +284,54 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     # kept without copies.
     t = _targets(spec, ys)
     free = opts.optimize_labels
-    vel_x = np.zeros_like(xs)
-    vel_t = np.zeros_like(t)
-    merit_trace = np.empty(opts.epochs)
+    # square-loss labels stay free reals through either L-BFGS-B pass
+    free_reals = free and spec.family == LEAST_SQUARES
 
     def canceling_pass():
         residual, gx, gt = _canceling_pass(spec, target, xs, t, g_mu, eps_d)
         return 0.5 * float(residual @ residual), gx, gt
 
+    def result(xs, t, ys, trace, start_solve):
+        if free_reals:
+            ys = t
+        residual = g_mu + eps_d * grads_batch(spec, target, xs, ys).mean(axis=0)
+        merit = 0.5 * float(residual @ residual)
+        return AttackResult(poison=Dataset(xs, ys, mu.task, mu.classes,
+                                           mu.domain_box),
+                            merit_trace=trace, final_merit=merit,
+                            final_grad_norm=float(np.sqrt(2.0 * merit))
+                            / (1.0 + eps_d),
+                            eps_d=eps_d, kept_clean=kept,
+                            start_solve=start_solve)
+
+    solve_trace = [canceling_pass()[0]]
+    if not np.isfinite(solve_trace[0]):
+        raise AttackDivergence(
+            "non-finite canceling merit at the initial poison set")
+
+    # Start-set solve: L-BFGS-B until it stops by its own tests. A
+    # reachable target needs no more. merit_trace[k] is the merit after k
+    # iterations, the last one repeated once the solve has stopped, as the
+    # loop's trace holds the merit after k epochs.
+    try:
+        solved = _polish(spec, target, xs, t, free_reals, g_mu, eps_d,
+                         mu.domain_box, opts.clip_mode, clean_range,
+                         maxiter=max(opts.epochs, _POLISH_MAXITER), ftol=0.0,
+                         trace=solve_trace)
+    except DomainError:  # a non-finite residual: leave it to the loop
+        solved = None
+    if solved is not None:
+        trace = np.array(solve_trace[:opts.epochs])
+        trace = np.pad(trace, (0, opts.epochs - trace.size), mode="edge")
+        res = result(*solved, ys, trace, True)
+        if res.final_merit <= REACH_TOL:
+            return res
+
+    # Otherwise the solve is discarded and the momentum loop starts from
+    # the same start set.
+    vel_x = np.zeros_like(xs)
+    vel_t = np.zeros_like(t)
+    merit_trace = np.empty(opts.epochs)
     scale = 1.0
     window: deque = deque(maxlen=_NONMONOTONE_WINDOW)
     prev_xs, prev_t = xs, t
@@ -269,9 +340,6 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     for epoch in range(opts.epochs):
         merit, gx, gt = canceling_pass()
         if not np.isfinite(merit):
-            if not window:
-                raise AttackDivergence(
-                    "non-finite canceling merit at the initial poison set")
             merit = np.inf
         # Nonmonotone backtracking guard: an epoch whose merit exceeds the
         # worst of the last 20 accepted merits is undone, the step scale
@@ -309,8 +377,7 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
         xs, t = best_xs, best_t
 
     # optimized class labels harden before the polish, which then fits the
-    # features to them; square-loss labels stay free reals through it
-    free_reals = free and spec.family == LEAST_SQUARES
+    # features to them
     if free and not free_reals:
         ys = _harden_labels(spec, t)
         t = _targets(spec, ys)
@@ -323,16 +390,7 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     # plateau while leaving genuinely infeasible targets at their floor.
     xs, t = _polish(spec, target, xs, t, free_reals, g_mu, eps_d,
                     mu.domain_box, opts.clip_mode, clean_range)
-    if free_reals:
-        ys = t
-    residual = g_mu + eps_d * (grads_batch(spec, target, xs, ys).mean(axis=0))
-    final_merit = 0.5 * float(residual @ residual)
-    poison = Dataset(xs, ys, mu.task, mu.classes, mu.domain_box)
-    return AttackResult(poison=poison, merit_trace=merit_trace,
-                        final_merit=final_merit,
-                        final_grad_norm=float(np.sqrt(2.0 * final_merit))
-                        / (1.0 + eps_d),
-                        eps_d=eps_d, kept_clean=kept)
+    return result(xs, t, ys, merit_trace, False)
 
 
 # ---------------------------------------------------------------------------

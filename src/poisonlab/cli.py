@@ -214,14 +214,19 @@ _GENERATORS = {
 _DATASET = _pick("generator", _GENERATORS, default="file")
 
 
+def _check_reg_size(obj: dict, n_name: str, w_name: str):
+    """gauss_reg draws at least one sample per weight."""
+    if obj["generator"] == "gauss_reg" and obj["n"] < len(obj["w_true"]):
+        raise ConfigError(f"{n_name} must be >= len({w_name}), got {obj['n']}")
+
+
 def _dataset(obj, where, base_dir):
     """A dataset object, or a shorthand name or file path for one."""
     if isinstance(obj, str):
         obj = {"or": {"generator": "or"}, "toy3": {"generator": "toy3"},
                "gauss10": {"generator": "gauss_class"}}.get(obj, {"path": obj})
     out = _DATASET(obj, where, base_dir)
-    if out["generator"] == "gauss_reg" and out["n"] < len(out["w_true"]):
-        raise ConfigError(f"{where}.n must be >= len(w_true), got {out['n']}")
+    _check_reg_size(out, f"{where}.n", "w_true")
     return out
 
 
@@ -577,9 +582,10 @@ def cmd_gen_data(args) -> int:
                                             "seed")}
     checked = _check_table({flag: table[key] for flag, key in keys.items()},
                            given, "", ".", f"--generator {args.generator}")
-    ds = resolve_dataset({"generator": args.generator, "seed": seed,
-                          **{keys[flag]: v for flag, v in checked.items()}},
-                         seed)
+    obj = {"generator": args.generator, "seed": seed,
+           **{keys[flag]: v for flag, v in checked.items()}}
+    _check_reg_size(obj, "--n", "--w-true")
+    ds = resolve_dataset(obj, seed)
     ser.write_json_atomic(args.out, ser.dataset_to_obj(ds))
     return EXIT_OK
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poisonlab as pl
-from poisonlab.attack import (AttackOptions, GridDomain, LineDomain, _polish,
-                              _scipy_blas_threads, _serial_scipy_blas,
+from poisonlab.attack import (REACH_TOL, AttackOptions, GridDomain, LineDomain,
+                              _polish, _scipy_blas_threads, _serial_scipy_blas,
                               frank_wolfe_attack, gradient_canceling,
                               gradient_matching, project_admissible,
                               reversed_mean_grad)
@@ -211,6 +211,80 @@ class TestGradientCanceling:
         res = gradient_canceling(clean, spec, target, 0.05,
                                  AttackOptions(optimize_labels=True, seed=seed))
         assert res.final_merit < 1e-12
+
+
+class TestStartSetSolve:
+    """L-BFGS-B from the start set; the momentum loop only where it falls
+    short of REACH_TOL."""
+
+    def test_reachable_target_takes_the_solve(self, logistic3):
+        res = gradient_canceling(OR_CLEAN, logistic3,
+                                 np.array([0.5, 0.5, -0.2]), 0.3,
+                                 AttackOptions(epochs=50))
+        assert res.start_solve
+        assert res.final_merit <= REACH_TOL
+        trace = res.merit_trace
+        assert trace.shape == (50,)
+        assert np.all(np.diff(trace) <= 0)
+        # the solve stopped by its own tests well before 49 iterations, so
+        # the trace ends on a run of its last merit
+        last = int(np.argmax(trace == trace[-1]))
+        assert last < 40 and np.all(trace[last:] == trace[-1])
+        assert trace[-1] <= REACH_TOL
+
+    def test_blocked_target_runs_the_loop(self, toy, logistic2):
+        # criterion 5's blocked target: the solve stalls on the floor
+        res = gradient_canceling(toy, logistic2, 2 * W_STAR, 0.52,
+                                 AttackOptions(lr=1.0, seed=2))
+        assert not res.start_solve
+        assert res.final_merit > REACH_TOL
+        trace = res.merit_trace
+        for k in range(1, trace.size):
+            assert trace[k] <= (1 + 1e-12) * trace[max(0, k - 20):k].max()
+
+    def test_nonfinite_solve_falls_back_to_the_loop(self, monkeypatch,
+                                                    or_data, logistic3):
+        # a solve that meets a non-finite residual is discarded like one
+        # that does not improve the start set: both run the loop from it
+        real = scipy.optimize.minimize
+
+        def first_solve(fail):
+            calls = []
+
+            def spy(fun, x0, **kwargs):
+                calls.append(x0)
+                if len(calls) > 1:
+                    return real(fun, x0, **kwargs)
+                if fail:
+                    fun(np.full_like(x0, np.nan))
+                return SimpleNamespace(fun=np.inf, x=x0)
+            return spy
+
+        runs = []
+        for fail in (True, False):
+            monkeypatch.setattr(scipy.optimize, "minimize", first_solve(fail))
+            runs.append(gradient_canceling(
+                or_data, logistic3, np.array([-1.4, -1.4, 0.7]), 1.0,
+                AttackOptions(epochs=40, lr=2.0, seed=3)))
+        failed, stalled = runs
+        assert not failed.start_solve and not stalled.start_solve
+        assert np.array_equal(failed.poison.x, stalled.poison.x)
+        assert np.array_equal(failed.merit_trace, stalled.merit_trace)
+        assert failed.final_merit == stalled.final_merit
+
+    def test_designed_reachable_gauss_cell_reaches(self):
+        # eps_d = 0.1 is 2.2 tau, but the momentum loop and its polish
+        # stopped at a merit of 7.6e-8
+        spec = ModelSpec("logistic_binary", 11)
+        clean = pl.gen_gauss_classification(2, n=200, d=10)
+        base = pl.train(spec, clean, seed=2)
+        target = pl.grad_ascent_corrupt(clean, spec, base, 0.3, steps=30,
+                                        seed=2).params
+        assert 0.1 >= 1.25 * pl.tau_threshold(spec, target, clean).tau
+        res = gradient_canceling(clean, spec, target, 0.1,
+                                 AttackOptions(lr=5.0, seed=2))
+        assert res.final_merit <= REACH_TOL
+        assert res.start_solve
 
 
 class TestPolishGradient:

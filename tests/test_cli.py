@@ -590,6 +590,17 @@ class TestCliCommands:
         assert key in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    def test_gen_data_reg_size_names_the_flag(self, tmp_path, capsys):
+        # the same check on a config names its key, on gen-data the flag
+        assert main(["gen-data", "--generator", "gauss_reg", "--w-true", "1",
+                     "2", "--n", "1", "--out",
+                     str(tmp_path / "d.json")]) == EXIT_CONFIG
+        assert "--n must be >= len(--w-true), got 1" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(ConfigError, match=r"dataset\.n must be"):
+            resolve_dataset({"generator": "gauss_reg", "n": 1,
+                             "w_true": [1.0, 2.0]}, seed=0)
+
     def test_model_alias_in_threshold(self, tmp_path):
         data = str(tmp_path / "or.json")
         params = str(tmp_path / "w.json")

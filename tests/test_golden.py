@@ -1,6 +1,6 @@
 """The committed outputs in out/ as a golden check.
 
-Nine fast shipped configs run with their outputs in a temporary directory,
+Ten fast shipped configs run with their outputs in a temporary directory,
 and each output is compared with its file in out/ field by field:
 
 - tau, eps_d, clean accuracy, seeds, target parameters and the shape of
@@ -39,7 +39,7 @@ CONFIG_DIR = os.path.join(ROOT, "configs")
 OUT_DIR = os.path.join(ROOT, "out")
 CONFIGS = ["fig1_small", "d3_leastsq_gc", "d3_leastsq_gm", "d6_toy_blocked",
            "d6_toy_reachable", "d8_replacing", "defense_sever", "defense_dpa",
-           "select_target"]
+           "select_target", "fig3_curves_gauss"]
 REACH_TOL = 1e-12
 REL_TOL = 1e-6
 
