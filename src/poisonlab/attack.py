@@ -6,23 +6,25 @@ clean mean gradient,
 
     minimize over poison points  (1/2) || g(mu) + eps_d * g(nu) ||^2.
 
-L-BFGS-B runs first, from the seeded start set. Where it reaches
-REACH_TOL, which a reachable target usually lets it do, its poison set
-is returned. Where it falls short (a blocked target, whose floor point
-decides the retrained damage), the solve is discarded and the start set
-goes through full-batch projected gradient descent with momentum,
-guarded by a nonmonotone backtracking rule, then a closing L-BFGS-B
-polish. Each epoch and each L-BFGS-B evaluation makes one fused pass
-over the poison set (`models._canceling_pass`): a single forward pass
-yields the residual g(mu) + eps_d g(nu), the per-point feature update
-(the mixed second-order product of the loss, scaled by 1/n with n the
-clean count) and the label gradient. Labels enter that pass as float
-targets built once per attack, so hard and optimized soft labels share
-one code path. Only the reported final merit goes back through the
-public, validating kernels. Gradient matching optimizes a cosine
-dissimilarity against a reversed-loss gradient instead, and the
-Frank-Wolfe variant optimizes the poison distribution itself as a
-weighted atom set over a discretized domain.
+One L-BFGS-B solve (`_polish`: ftol 0, gtol 1e-16, at most
+max(epochs, 1000) iterations) runs first, from the seeded start set.
+Where it reaches REACH_TOL, which a reachable target usually lets it do,
+its poison set is returned. Where it falls short (a blocked target,
+whose floor point decides the retrained damage), the solve is discarded
+and the start set goes through full-batch projected gradient descent
+with momentum, guarded by a nonmonotone backtracking rule; the same
+solve then runs from the loop's best iterate. Each epoch and each
+L-BFGS-B evaluation makes one fused pass over the poison set
+(`models._canceling_pass`): a single forward pass yields the residual
+g(mu) + eps_d g(nu), the per-point feature update (the mixed
+second-order product of the loss, scaled by 1/n with n the clean count)
+and the label gradient. Labels enter that pass as float targets built
+once per attack, so hard and optimized soft labels share one code path.
+Only the reported final merit goes back through the public, validating
+kernels. Gradient matching optimizes a cosine dissimilarity against a
+reversed-loss gradient instead, and the Frank-Wolfe variant optimizes
+the poison distribution itself as a weighted atom set over a discretized
+domain.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ CLIP_NONE = "none"
 _NONMONOTONE_WINDOW = 20
 # a canceling merit at or below this counts as reaching the target
 REACH_TOL = 1e-12
-# the closing polish's iteration cap, and the start-set solve's least one
-_POLISH_MAXITER = 1000
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def _serial_scipy_blas():
     L-BFGS-B's BLAS calls are too small to split: on 2 cores a second
     thread made a 15-variable solve 9x slower, and its spinning worker
     halved the caller's speed for the next 0.1 s. It also makes the
-    polish independent of the core count. A no-op without the bundled
+    solve independent of the core count. A no-op without the bundled
     OpenBLAS.
     """
     ctl = _scipy_blas_threads()
@@ -177,21 +177,20 @@ def _serial_scipy_blas():
 
 
 def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
-            clean_range, maxiter=_POLISH_MAXITER, ftol=1e-20, trace=None):
-    """Bound-constrained quasi-Newton pass on the canceling objective.
+            clean_range, epochs=0):
+    """The attack's one L-BFGS-B solve of the canceling objective.
 
     Optimizes the poison features, plus the label targets t when
     free_labels (optimized square-loss labels, which are free reals);
     otherwise t stays fixed. Each point weighs eps_d / count in the
     residual, which scales the gradient; n_eff = count / eps_d is n where
-    n * eps_d is an integer. L-BFGS-B stops after maxiter iterations, on a
-    relative merit reduction of at most ftol, or by its own gradient and
-    line-search tests; the merit after each iteration is appended to
-    trace, if given. Returns the improved (features, t), clamped to the
-    admissible set, only if the merit actually dropped; a non-finite
-    residual raises DomainError. gradient_canceling runs it from the start
-    set (ftol 0, traced), and again after the momentum loop, with the
-    defaults, only where that solve fell short of REACH_TOL.
+    n * eps_d is an integer. L-BFGS-B runs with ftol 0 and gtol 1e-16, so
+    it stops by its own line-search test or after max(epochs, 1000)
+    iterations. Returns (features, t, merits): merits holds the
+    merit at the start and after each iteration; features and t are the
+    solve's end point, clamped to the admissible set, if its merit
+    dropped, and the start set otherwise, also where the solve meets a
+    non-finite residual.
     """
     from scipy.optimize import minimize
 
@@ -213,30 +212,33 @@ def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
         lab = flat[count * d:] if free_labels else t
         residual, gx, gt = _canceling_pass(spec, target, pts, lab, g_mu, eps_d)
         if not np.all(np.isfinite(residual)):
-            raise DomainError("non-finite canceling residual in the polish")
+            raise DomainError("non-finite canceling residual in the solve")
         grad = gx.ravel() / n_eff
         if free_labels:
             grad = np.concatenate([grad, gt / n_eff])
         return 0.5 * float(residual @ residual), grad
 
+    merits = []
     # scipy hands the iterate's OptimizeResult to a callback whose one
     # parameter has this name
     def record(intermediate_result):
-        trace.append(intermediate_result.fun)
+        merits.append(intermediate_result.fun)
 
-    start, _ = objective(x0)
-    with _serial_scipy_blas():
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                       bounds=bounds,
-                       callback=None if trace is None else record,
-                       options={"maxiter": maxiter, "ftol": ftol,
-                                "gtol": 1e-16})
-    if not np.isfinite(res.fun) or res.fun >= start:
-        return xs, t
+    try:
+        merits.append(objective(x0)[0])
+        with _serial_scipy_blas():
+            res = minimize(objective, x0, jac=True, method="L-BFGS-B",
+                           bounds=bounds, callback=record,
+                           options={"maxiter": max(epochs, 1000),
+                                    "ftol": 0.0, "gtol": 1e-16})
+    except DomainError:
+        return xs, t, merits
+    if not np.isfinite(res.fun) or res.fun >= merits[0]:
+        return xs, t, merits
     # L-BFGS-B can end a rounding error outside its bounds
     pts = project_admissible(res.x[:count * d].reshape(count, d), box,
                              clip_mode, clean_range)
-    return pts, (res.x[count * d:].copy() if free_labels else t)
+    return pts, (res.x[count * d:].copy() if free_labels else t), merits
 
 
 def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
@@ -244,20 +246,19 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     """Construct a poison set whose ratio-weighted gradient cancels g(mu).
 
     Poison features are initialized as a seeded subsample of the clean
-    data. L-BFGS-B runs from that start set first, for at most
-    max(opts.epochs, 1000) iterations (no fewer than the closing polish
-    may take); if it reaches REACH_TOL, its poison set is returned and
-    start_solve is True. Otherwise, or if the solve meets a non-finite
-    residual, it is discarded, and the start set goes through full-batch
-    momentum descent with per-step projection given by opts.clip_mode,
-    then a closing L-BFGS-B polish, exactly as if the solve had not run;
-    opts.lr steers only this loop. Labels stay fixed unless
-    opts.optimize_labels: square-loss labels are then free reals on both
-    paths, while class labels stay fixed in the solve and are optimized
-    as soft labels on the simplex in the loop, then hardened before its
-    polish. replace_mode swaps the clean set for a seeded subset of size
-    floor(n / (1 + eps_d)) first, which models an attacker who replaces
-    rather than adds points.
+    data. The L-BFGS-B solve of `_polish` runs from that start set first;
+    if it reaches REACH_TOL, its poison set is returned and start_solve is
+    True. Otherwise it is discarded, and the start set goes through
+    full-batch momentum descent with per-step projection given by
+    opts.clip_mode, exactly as if the solve had not run; the same solve
+    then runs from the loop's best iterate, and its end point is returned.
+    opts.lr steers only the loop. Labels stay fixed unless
+    opts.optimize_labels: square-loss labels are then free reals in the
+    solve and the loop, while class labels stay fixed in the solve and
+    are optimized as soft labels on the simplex in the loop, then
+    hardened before the second solve. replace_mode swaps the clean set
+    for a seeded subset of size floor(n / (1 + eps_d)) first, which
+    models an attacker who replaces rather than adds points.
     """
     opts = opts or AttackOptions()
     target = check_params(spec, target)
@@ -284,7 +285,7 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     # kept without copies.
     t = _targets(spec, ys)
     free = opts.optimize_labels
-    # square-loss labels stay free reals through either L-BFGS-B pass
+    # square-loss labels stay free reals through both L-BFGS-B solves
     free_reals = free and spec.family == LEAST_SQUARES
 
     def canceling_pass():
@@ -304,28 +305,23 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
                             eps_d=eps_d, kept_clean=kept,
                             start_solve=start_solve)
 
-    solve_trace = [canceling_pass()[0]]
-    if not np.isfinite(solve_trace[0]):
+    if not np.isfinite(canceling_pass()[0]):
         raise AttackDivergence(
             "non-finite canceling merit at the initial poison set")
 
-    # Start-set solve: L-BFGS-B until it stops by its own tests. A
-    # reachable target needs no more. merit_trace[k] is the merit after k
-    # iterations, the last one repeated once the solve has stopped, as the
-    # loop's trace holds the merit after k epochs.
-    try:
-        solved = _polish(spec, target, xs, t, free_reals, g_mu, eps_d,
-                         mu.domain_box, opts.clip_mode, clean_range,
-                         maxiter=max(opts.epochs, _POLISH_MAXITER), ftol=0.0,
-                         trace=solve_trace)
-    except DomainError:  # a non-finite residual: leave it to the loop
-        solved = None
-    if solved is not None:
-        trace = np.array(solve_trace[:opts.epochs])
-        trace = np.pad(trace, (0, opts.epochs - trace.size), mode="edge")
-        res = result(*solved, ys, trace, True)
-        if res.final_merit <= REACH_TOL:
-            return res
+    def solve(xs, t):
+        return _polish(spec, target, xs, t, free_reals, g_mu, eps_d,
+                       mu.domain_box, opts.clip_mode, clean_range, opts.epochs)
+
+    # Start-set solve. A reachable target needs no more. merit_trace[k] is
+    # the merit after k iterations, the last one repeated once the solve
+    # has stopped, as the loop's trace holds the merit after k epochs.
+    *solved, merits = solve(xs, t)
+    trace = np.array(merits[:opts.epochs])
+    trace = np.pad(trace, (0, opts.epochs - trace.size), mode="edge")
+    res = result(*solved, ys, trace, True)
+    if res.final_merit <= REACH_TOL:
+        return res
 
     # Otherwise the solve is discarded and the momentum loop starts from
     # the same start set.
@@ -376,20 +372,19 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     if not (np.isfinite(closing) and closing < best_merit):
         xs, t = best_xs, best_t
 
-    # optimized class labels harden before the polish, which then fits the
+    # optimized class labels harden before the solve, which then fits the
     # features to them
     if free and not free_reals:
         ys = _harden_labels(spec, t)
         t = _targets(spec, ys)
 
-    # Quasi-Newton finishing pass (bound-constrained when clipping) from
-    # the best iterate. The per-epoch trace stays pure momentum descent;
-    # only the returned poison set benefits. Plain descent zigzags in the
-    # curved valleys of the canceling objective and can report a target
-    # as blocked when it is merely hard; the polish removes that false
-    # plateau while leaving genuinely infeasible targets at their floor.
-    xs, t = _polish(spec, target, xs, t, free_reals, g_mu, eps_d,
-                    mu.domain_box, opts.clip_mode, clean_range)
+    # The same solve again, from the best iterate. The per-epoch trace
+    # stays pure momentum descent; only the returned poison set benefits.
+    # Plain descent zigzags in the curved valleys of the canceling
+    # objective and can report a target as blocked when it is merely hard;
+    # the solve removes that false plateau while leaving genuinely
+    # infeasible targets at their floor.
+    xs, t, _ = solve(xs, t)
     return result(xs, t, ys, merit_trace, False)
 
 

@@ -59,7 +59,11 @@ def alignment(spec: ModelSpec, params, ds: Dataset) -> float:
     features are the learned hidden activations.
     """
     params = check_params(spec, params)
-    g = mean_param_grad(spec, params, ds)
+    return _alignment(spec, params, mean_param_grad(spec, params, ds))
+
+
+def _alignment(spec: ModelSpec, params: np.ndarray, g: np.ndarray) -> float:
+    """`alignment` from checked parameters and their mean gradient g."""
     if spec.family == MLP1:
         return float(output_block(spec, params).ravel()
                      @ output_block(spec, g).ravel())
@@ -197,8 +201,9 @@ def tau_threshold(spec: ModelSpec, params, ds: Dataset,
     membership_check on the discretized domain.
     """
     params = check_params(spec, params)
+    g = mean_param_grad(spec, params, ds)
+    align = _alignment(spec, params, g)
     if spec.family == LEAST_SQUARES:
-        align = alignment(spec, params, ds)
         return ThresholdReport(alignment=align, a=-np.inf, b=np.inf,
                                lambda_star=0.0, tau=0.0, tau2=0.0,
                                degenerate=DEGENERATE_NONE, c_used=0)
@@ -208,8 +213,6 @@ def tau_threshold(spec: ModelSpec, params, ds: Dataset,
     c_eff = c_convention if c_convention is not None else \
         (2 if spec.family == LOGISTIC else spec.classes)
 
-    g = mean_param_grad(spec, params, ds)
-    align = alignment(spec, params, ds)
     w_c = lambert_w0((c_eff - 1) / np.e)
     a = -w_c
     b = np.inf

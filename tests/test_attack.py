@@ -5,6 +5,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import poisonlab as pl
 from poisonlab.attack import (REACH_TOL, AttackOptions, GridDomain, LineDomain,
@@ -16,7 +17,7 @@ from poisonlab.errors import AttackDivergence, DomainError
 from poisonlab.mathcore import make_rng
 from poisonlab.models import ModelSpec, grads_batch, losses_batch, \
     mean_param_grad
-from poisonlab.optim import round_half_up
+from poisonlab.optim import project_simplex_rows, round_half_up
 
 W_STAR = np.array([0.0, np.log(2.0)])
 OR_CLEAN = pl.gen_or(seed=0)
@@ -29,6 +30,17 @@ def regression_problem(seed=0, n=200):
     fit = pl.train(spec, clean, pl.TrainOptions(epochs=400), seed=seed)
     target = pl.random_corrupt(fit, eps_w=1.0, seed=seed).params
     return clean, spec, target
+
+
+def blobs(seed, n, classes=3, radius=2.0, sd=0.6):
+    """Seeded Gaussian blobs in 2-d with a bias feature."""
+    rng = make_rng(seed, 11)
+    angle = 2 * np.pi * np.arange(classes) / classes + rng.uniform(0, 2 * np.pi)
+    centers = radius * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    y = np.arange(n) % classes
+    x = centers[y] + sd * rng.standard_normal((n, 2))
+    return pl.Dataset(np.hstack([x, np.ones((n, 1))]), y, "classification",
+                      classes)
 
 
 class TestPoisonCount:
@@ -272,6 +284,26 @@ class TestStartSetSolve:
         assert np.array_equal(failed.merit_trace, stalled.merit_trace)
         assert failed.final_merit == stalled.final_merit
 
+    def test_nonfinite_closing_solve_returns_the_best_iterate(
+            self, monkeypatch, toy, logistic2):
+        # the second solve, from the loop's best iterate, meets a NaN
+        # residual and ends where it started, as the start-set solve does
+        real = scipy.optimize.minimize
+        calls = []
+
+        def spy(fun, x0, **kwargs):
+            calls.append(x0)
+            if len(calls) == 2:
+                fun(np.full_like(x0, np.nan))
+            return real(fun, x0, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", spy)
+        res = gradient_canceling(toy, logistic2, 2 * W_STAR, 0.52,
+                                 AttackOptions(lr=1.0, seed=2))
+        assert len(calls) == 2
+        assert not res.start_solve
+        assert res.final_merit <= res.merit_trace.min()
+
     def test_designed_reachable_gauss_cell_reaches(self):
         # eps_d = 0.1 is 2.2 tau, but the momentum loop and its polish
         # stopped at a merit of 7.6e-8
@@ -285,6 +317,75 @@ class TestStartSetSolve:
                                  AttackOptions(lr=5.0, seed=2))
         assert res.final_merit <= REACH_TOL
         assert res.start_solve
+
+
+class TestOptimizedLabels:
+    """Soft labels through the momentum loop, where the start-set solve
+    falls short, and free real labels in the solve under clipping."""
+
+    def test_mlp1_optimized_labels_reach_where_fixed_do_not(self):
+        # the target is trained on the clean set plus 14 relabelled clean
+        # points, so a relabelled witness set cancels g(mu) at eps_d 0.3
+        clean = blobs(0, 45)
+        spec = ModelSpec("mlp1", 3, classes=3, hidden=3)
+        idx = make_rng(0, 12).choice(45, 14, replace=False)
+        witness = pl.Dataset(clean.x[idx], (clean.y[idx] + 1) % 3,
+                             "classification", 3)
+        target = pl.train(spec, pl.concat(clean, witness))
+        fixed, optimized = (
+            gradient_canceling(clean, spec, target, 0.3,
+                               AttackOptions(lr=5.0, epochs=300, seed=0,
+                                             optimize_labels=free))
+            for free in (False, True))
+        assert not fixed.start_solve and not optimized.start_solve
+        assert fixed.final_merit > REACH_TOL
+        assert optimized.final_merit <= REACH_TOL
+        y = optimized.poison.y
+        assert y.dtype == np.int64 and np.all((y >= 0) & (y < 3))
+
+    def test_logistic_soft_labels_harden_to_classes(self, toy, logistic2):
+        res = gradient_canceling(toy, logistic2, 2 * W_STAR, 0.52,
+                                 AttackOptions(lr=1.0, seed=2,
+                                               optimize_labels=True))
+        assert not res.start_solve
+        y = res.poison.y
+        assert y.dtype == np.int64 and set(y.tolist()) <= {0, 1}
+
+    @settings(max_examples=50, deadline=None)
+    @given(s=hnp.arrays(np.float64,
+                        st.tuples(st.integers(1, 5), st.integers(2, 4)),
+                        elements=st.floats(-5.0, 5.0)),
+           seed=st.integers(0, 2**16))
+    def test_simplex_projection(self, s, seed):
+        proj = project_simplex_rows(s)
+        assert np.all(proj >= 0)
+        assert np.allclose(proj.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(project_simplex_rows(proj), proj, rtol=0,
+                           atol=1e-12)
+        # no simplex point, sampled or a vertex, lies closer to a row
+        points = np.vstack([make_rng(seed).dirichlet(np.ones(s.shape[1]),
+                                                     size=200),
+                            np.eye(s.shape[1])])
+        for row, p in zip(s, proj):
+            nearest = np.sum((row - p) ** 2)
+            assert np.all(np.sum((row - points) ** 2, axis=1)
+                          >= nearest - 1e-10)
+
+    def test_free_labels_under_box_clipping(self):
+        clean = pl.gen_gauss_regression(0, n=100, d=2,
+                                        w_true=np.array([1.0, -1.0]),
+                                        noise=0.1)
+        spec = ModelSpec("least_squares", 3)
+        fit = pl.train(spec, clean, pl.TrainOptions(epochs=400), seed=0)
+        target = pl.grad_ascent_corrupt(clean, spec, fit, 1.0, seed=0).params
+        res = gradient_canceling(clean, spec, target, 0.5,
+                                 AttackOptions(clip_mode="box",
+                                               optimize_labels=True))
+        lo, hi = clean.domain_box.T
+        assert np.all(res.poison.x >= lo) and np.all(res.poison.x <= hi)
+        y = res.poison.y
+        assert y.min() < clean.y.min() or y.max() > clean.y.max()
+        assert res.final_merit <= REACH_TOL
 
 
 class TestPolishGradient:
