@@ -219,6 +219,7 @@ def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
         return 0.5 * float(residual @ residual), grad
 
     merits = []
+
     # scipy hands the iterate's OptimizeResult to a callback whose one
     # parameter has this name
     def record(intermediate_result):
@@ -231,7 +232,7 @@ def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
                            bounds=bounds, callback=record,
                            options={"maxiter": max(epochs, 1000),
                                     "ftol": 0.0, "gtol": 1e-16})
-    except DomainError:
+    except DomainError:  # a non-finite residual
         return xs, t, merits
     if not np.isfinite(res.fun) or res.fun >= merits[0]:
         return xs, t, merits
