@@ -3,10 +3,12 @@
 
 Every config is validated before the first one runs, so a bad key fails
 at once. The MNIST variants are skipped unless an IDX directory exists
-at data/mnist relative to the repository root.
+at data/mnist relative to the repository root. Each config's wall time
+is printed after its `== name` line.
 """
 import os
 import sys
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -42,7 +44,9 @@ if __name__ == "__main__":
         except ConfigError as exc:
             sys.exit(f"{os.path.basename(path)}: config error: {exc}")
     for name, path in zip(names, paths):
-        print(f"== {name}")
+        print(f"== {name}", flush=True)
+        start = time.perf_counter()
         outputs = run(read_json(path), base_dir=os.path.dirname(path))
+        print(f"   wall: {time.perf_counter() - start:.2f} s")
         for key, out in outputs.items():
             print(f"   {key}: {out}")

@@ -7,18 +7,19 @@ clean mean gradient,
     minimize over poison points  (1/2) || g(mu) + eps_d * g(nu) ||^2.
 
 One L-BFGS-B solve (`_polish`: ftol 0, gtol 1e-16, at most
-max(epochs, 1000) iterations) runs first, from the seeded start set.
-Where it reaches REACH_TOL, which a reachable target usually lets it do,
-its poison set is returned. Where it falls short (a blocked target,
-whose floor point decides the retrained damage), the solve is discarded
-and the start set goes through full-batch projected gradient descent
-with momentum, guarded by a nonmonotone backtracking rule; the same
-solve then runs from the loop's best iterate. Each epoch and each
-L-BFGS-B evaluation makes one fused pass over the poison set
-(`models._canceling_pass`): a single forward pass yields the residual
-g(mu) + eps_d g(nu), the per-point feature update (the mixed
-second-order product of the loss, scaled by 1/n with n the clean count)
-and the label gradient. Labels enter that pass as float targets built
+max(epochs, 1000) iterations) runs first, from the seeded start set,
+unless `reachability.merit_floor` exceeds 2 REACH_TOL: then no poison
+set can reach, and the solve is skipped. Where it reaches REACH_TOL,
+which a reachable target usually lets it do, its poison set is returned.
+Where it falls short or is skipped (a blocked target, whose floor point
+decides the retrained damage), the start set goes through full-batch
+projected gradient descent with momentum, guarded by a nonmonotone
+backtracking rule; the same solve then runs from the loop's best
+iterate. Each epoch and each L-BFGS-B evaluation makes one fused pass
+over the poison set (`models._canceling_pass`): a single forward pass
+yields the residual g(mu) + eps_d g(nu), the per-point feature update
+(the mixed second-order product of the loss, scaled by 1/n with n the
+clean count) and the label gradient. Labels enter that pass as float targets built
 once per attack, so hard and optimized soft labels share one code path.
 Only the reported final merit goes back through the public, validating
 kernels. Gradient matching optimizes a cosine dissimilarity against a
@@ -47,6 +48,7 @@ from .models import (LEAST_SQUARES, LOGISTIC, ModelSpec, _canceling_pass,
                      mean_param_grad, mixed_vjp_batch)
 from .optim import (MOMENTUM, check_descent_options, cosine_lr,
                     project_simplex_rows, round_half_up)
+from .reachability import _merit_floor
 
 CLIP_BOX = "box"
 CLIP_CLEAN_RANGE = "clean_range"
@@ -211,7 +213,7 @@ def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
         pts = flat[:count * d].reshape(count, d)
         lab = flat[count * d:] if free_labels else t
         residual, gx, gt = _canceling_pass(spec, target, pts, lab, g_mu, eps_d)
-        if not np.all(np.isfinite(residual)):
+        if not np.isfinite(residual).all():
             raise DomainError("non-finite canceling residual in the solve")
         grad = gx.ravel() / n_eff
         if free_labels:
@@ -247,12 +249,16 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     """Construct a poison set whose ratio-weighted gradient cancels g(mu).
 
     Poison features are initialized as a seeded subsample of the clean
-    data. The L-BFGS-B solve of `_polish` runs from that start set first;
-    if it reaches REACH_TOL, its poison set is returned and start_solve is
-    True. Otherwise it is discarded, and the start set goes through
-    full-batch momentum descent with per-step projection given by
+    data. The L-BFGS-B solve of `_polish` runs from that start set first,
+    unless the merit floor of the clean mean gradient (of the kept clean
+    set in replace mode) exceeds 2 REACH_TOL, which no solve could get
+    below; if it reaches REACH_TOL, its poison set is returned and
+    start_solve is True. Otherwise it is discarded, and the start set goes
+    through full-batch momentum descent with per-step projection given by
     opts.clip_mode, exactly as if the solve had not run; the same solve
     then runs from the loop's best iterate, and its end point is returned.
+    Skipping the start-set solve changes no output: the loop starts from
+    the same start set and draws no random numbers.
     opts.lr steers only the loop. Labels stay fixed unless
     opts.optimize_labels: square-loss labels are then free reals in the
     solve and the loop, while class labels stay fixed in the solve and
@@ -314,18 +320,20 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
         return _polish(spec, target, xs, t, free_reals, g_mu, eps_d,
                        mu.domain_box, opts.clip_mode, clean_range, opts.epochs)
 
-    # Start-set solve. A reachable target needs no more. merit_trace[k] is
-    # the merit after k iterations, the last one repeated once the solve
-    # has stopped, as the loop's trace holds the merit after k epochs.
-    *solved, merits = solve(xs, t)
-    trace = np.array(merits[:opts.epochs])
-    trace = np.pad(trace, (0, opts.epochs - trace.size), mode="edge")
-    res = result(*solved, ys, trace, True)
-    if res.final_merit <= REACH_TOL:
-        return res
+    # Start-set solve, unless the merit floor shows it cannot reach. A
+    # reachable target needs no more. merit_trace[k] is the merit after k
+    # iterations, the last one repeated once the solve has stopped, as the
+    # loop's trace holds the merit after k epochs.
+    if _merit_floor(spec, target, g_mu, eps_d) <= 2 * REACH_TOL:
+        *solved, merits = solve(xs, t)
+        trace = np.array(merits[:opts.epochs])
+        trace = np.pad(trace, (0, opts.epochs - trace.size), mode="edge")
+        res = result(*solved, ys, trace, True)
+        if res.final_merit <= REACH_TOL:
+            return res
 
-    # Otherwise the solve is discarded and the momentum loop starts from
-    # the same start set.
+    # Otherwise the momentum loop starts from the start set; a solve that
+    # ran left it unchanged.
     vel_x = np.zeros_like(xs)
     vel_t = np.zeros_like(t)
     merit_trace = np.empty(opts.epochs)

@@ -16,7 +16,9 @@ and the critical poison fraction is
 with align = <w, g(mu)>. In poison-to-clean ratio units the threshold is
 tau = lambda* / (1 - lambda*); for the logistic loss on an unbounded
 domain this is align / W(1/e), and for c-class cross-entropy the trace
-condition gives the necessary bound align / W((c-1)/e).
+condition gives the necessary bound align / W((c-1)/e). Below the
+threshold the same argument bounds the canceling merit from below
+(`merit_floor`).
 """
 
 from __future__ import annotations
@@ -232,6 +234,41 @@ def tau_threshold(spec: ModelSpec, params, ds: Dataset,
     return ThresholdReport(alignment=align, a=a, b=b, lambda_star=lam,
                            tau=tau, tau2=tau2, degenerate=degenerate,
                            c_used=c_eff)
+
+
+def merit_floor(spec: ModelSpec, params, ds: Dataset, eps_d: float) -> float:
+    """Lower bound on the canceling merit (1/2)|g(mu) + eps_d g(nu)|^2 that
+    any poison set nu of ratio eps_d reaches at the target, with mu = ds.
+
+    Every poison point's gradient has <theta, g(x)> >= -W((c-1)/e) along
+    the output block theta (the full w for logistic_binary), so the
+    residual's component along theta is at least align - eps_d W((c-1)/e),
+    with align as in `alignment`. That gives
+    (1/2)(max(align - eps_d W((c-1)/e), 0) / |theta|)^2; for logistic_binary
+    it is (1/2)(W(1/e) max(tau - eps_d, 0) / |w|)^2, positive exactly below
+    `tau_threshold`'s tau. Unclipped logistic_binary attains it (every point
+    at the minimising margin, the rest of the residual cancelled), so there
+    it is the optimum; under clipping, and for softmax_linear and mlp1, it
+    is a lower bound. least_squares labels are free reals: 0.
+    """
+    if not eps_d > 0:
+        raise DomainError("eps_d must be positive")
+    params = check_params(spec, params)
+    return _merit_floor(spec, params, mean_param_grad(spec, params, ds), eps_d)
+
+
+def _merit_floor(spec: ModelSpec, params: np.ndarray, g: np.ndarray,
+                 eps_d: float) -> float:
+    """`merit_floor` from checked parameters and their mean gradient g."""
+    if spec.family == LEAST_SQUARES:
+        return 0.0
+    c = 2 if spec.family == LOGISTIC else spec.classes
+    gap = _alignment(spec, params, g) - eps_d * lambert_w0((c - 1) / np.e)
+    block = output_block(spec, params) if spec.family == MLP1 else params
+    norm = float(np.linalg.norm(block))
+    if gap <= 0.0 or norm == 0.0:
+        return 0.0
+    return 0.5 * (gap / norm) ** 2
 
 
 def membership_check(g_mu, grads, lam: float, tol: float = 1e-9) -> bool:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import poisonlab as pl
+from poisonlab import attack
 from poisonlab.attack import (REACH_TOL, AttackOptions, GridDomain, LineDomain,
                               _polish, _scipy_blas_threads, _serial_scipy_blas,
                               frank_wolfe_attack, gradient_canceling,
@@ -254,10 +255,43 @@ class TestStartSetSolve:
         for k in range(1, trace.size):
             assert trace[k] <= (1 + 1e-12) * trace[max(0, k - 20):k].max()
 
+    def test_floor_blocked_cell_skips_the_start_set_solve(
+            self, monkeypatch, toy, logistic2):
+        # criterion 5's blocked target: its merit floor rules out a reach,
+        # so only the closing solve runs, and running the start-set solve
+        # as well changes no output bit
+        assert pl.merit_floor(logistic2, 2 * W_STAR, toy, 0.52) \
+            > 2 * REACH_TOL
+        real = scipy.optimize.minimize
+
+        def run():
+            calls = []
+
+            def spy(fun, x0, **kwargs):
+                calls.append(x0)
+                return real(fun, x0, **kwargs)
+            monkeypatch.setattr(scipy.optimize, "minimize", spy)
+            res = gradient_canceling(toy, logistic2, 2 * W_STAR, 0.52,
+                                     AttackOptions(lr=1.0, seed=2))
+            return res, len(calls)
+
+        skipped, skipped_calls = run()
+        monkeypatch.setattr(attack, "_merit_floor", lambda *args: 0.0)
+        solved, solved_calls = run()
+        assert (skipped_calls, solved_calls) == (1, 2)
+        assert not skipped.start_solve and not solved.start_solve
+        assert np.array_equal(skipped.poison.x, solved.poison.x)
+        assert np.array_equal(skipped.poison.y, solved.poison.y)
+        assert np.array_equal(skipped.merit_trace, solved.merit_trace)
+        assert skipped.final_merit == solved.final_merit
+
     def test_nonfinite_solve_falls_back_to_the_loop(self, monkeypatch,
                                                     or_data, logistic3):
         # a solve that meets a non-finite residual is discarded like one
-        # that does not improve the start set: both run the loop from it
+        # that does not improve the start set: both run the loop from it.
+        # At eps_d 3 the target lies above tau, so the start-set solve runs.
+        target = np.array([-1.4, -1.4, 0.7])
+        assert pl.merit_floor(logistic3, target, or_data, 3.0) == 0.0
         real = scipy.optimize.minimize
 
         def first_solve(fail):
@@ -276,7 +310,7 @@ class TestStartSetSolve:
         for fail in (True, False):
             monkeypatch.setattr(scipy.optimize, "minimize", first_solve(fail))
             runs.append(gradient_canceling(
-                or_data, logistic3, np.array([-1.4, -1.4, 0.7]), 1.0,
+                or_data, logistic3, target, 3.0,
                 AttackOptions(epochs=40, lr=2.0, seed=3)))
         failed, stalled = runs
         assert not failed.start_solve and not stalled.start_solve
@@ -286,21 +320,21 @@ class TestStartSetSolve:
 
     def test_nonfinite_closing_solve_returns_the_best_iterate(
             self, monkeypatch, toy, logistic2):
-        # the second solve, from the loop's best iterate, meets a NaN
-        # residual and ends where it started, as the start-set solve does
+        # the closing solve, from the loop's best iterate, meets a NaN
+        # residual and ends where it started, as the start-set solve does.
+        # The floor blocks this target, so the closing solve is the only one.
         real = scipy.optimize.minimize
         calls = []
 
         def spy(fun, x0, **kwargs):
             calls.append(x0)
-            if len(calls) == 2:
-                fun(np.full_like(x0, np.nan))
+            fun(np.full_like(x0, np.nan))
             return real(fun, x0, **kwargs)
 
         monkeypatch.setattr(scipy.optimize, "minimize", spy)
         res = gradient_canceling(toy, logistic2, 2 * W_STAR, 0.52,
                                  AttackOptions(lr=1.0, seed=2))
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert not res.start_solve
         assert res.final_merit <= res.merit_trace.min()
 

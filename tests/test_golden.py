@@ -14,6 +14,11 @@ and each output is compared with its file in out/ field by field:
 - poison sets: through the canceling merit 1/2 |g(mu) + eps_d g(nu)|^2
   they reach at the target.
 
+The two long sweeps, fig1_or_sweep and fig2_gauss10, are not rerun. Each
+committed row is checked against the merit floor of its target instead:
+no final merit lies below the floor, and no row whose floor exceeds
+2 REACH_TOL counts as reached.
+
 A change that moves an output regenerates out/ with
 `scripts/run_all_experiments.py` and names the moved rows.
 """
@@ -33,10 +38,12 @@ from poisonlab.cli import (_build_dataset, resolve_model, resolve_target, run,
 from poisonlab.harness import TrainOptions
 from poisonlab.mathcore import derive_seed
 from poisonlab.models import grads_batch, mean_param_grad
+from poisonlab.reachability import merit_floor
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIG_DIR = os.path.join(ROOT, "configs")
 OUT_DIR = os.path.join(ROOT, "out")
+SWEEPS = ["fig1_or_sweep", "fig2_gauss10"]
 CONFIGS = ["fig1_small", "d3_leastsq_gc", "d3_leastsq_gm", "d6_toy_blocked",
            "d6_toy_reachable", "d8_replacing", "defense_sever", "defense_dpa",
            "select_target", "fig3_curves_gauss"]
@@ -211,3 +218,27 @@ def test_moved_merit_is_caught(fresh, tmp_path, name, base, column):
     _perturb_first(str(ref / base), column, 1.0 + 1e-3)
     bad = compare_outputs(name, fresh, str(ref))
     assert len(bad) == 1 and f"{base}: row 0.{column}" in bad[0]
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_committed_sweep_rows_respect_the_floor(name):
+    cfg = validate_config(
+        ser.read_json(os.path.join(CONFIG_DIR, f"{name}.json")), CONFIG_DIR)
+    seed = cfg["seed"]
+    clean = _build_dataset(cfg["dataset"], seed)
+    spec = resolve_model(cfg["model"], clean)
+    targets = [resolve_target(t, clean, spec, TrainOptions(**cfg["train"]),
+                              derive_seed(seed, "target", i))
+               for i, t in enumerate(cfg["targets"])]
+    rows = _read_csv(os.path.join(OUT_DIR, os.path.basename(
+        cfg["output"]["csv"])))
+    assert len(rows) == len(targets) * len(cfg["eps_d"])
+    bad = []
+    for i, row in enumerate(rows):
+        merit = float(row["final_merit"])
+        floor = merit_floor(spec, targets[int(row["target_id"])], clean,
+                            float(row["eps_d"]))
+        if merit < floor * (1.0 - 1e-9) or (floor > 2 * REACH_TOL
+                                             and merit <= REACH_TOL):
+            bad.append(f"row {i}: final_merit {merit}, floor {floor}")
+    assert bad == []

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 import poisonlab as pl
+from poisonlab.attack import REACH_TOL, AttackOptions, gradient_canceling
 from poisonlab.errors import DomainError
 from poisonlab.mathcore import lambert_w0, make_rng
 from poisonlab.models import ModelSpec, grads_batch, mean_param_grad
 from poisonlab.reachability import (DEGENERATE_ZERO_GRAD, alignment,
                                     lambda_threshold, lambda_to_ratio,
                                     margin_bounds, membership_check,
-                                    nn_necessary_tau, ratio_to_lambda,
-                                    tau_threshold)
+                                    merit_floor, nn_necessary_tau,
+                                    ratio_to_lambda, tau_threshold)
 
 W_STAR = np.array([0.0, np.log(2.0)])
 W_1E = lambert_w0(np.exp(-1.0))
@@ -223,6 +225,100 @@ class TestNnNecessaryTau:
             scaled[cut:] *= s
             vals.append(nn_necessary_tau(spec, scaled, ds))
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def _random_case(family, seed, scale, n=24):
+    """Seeded 2-d points with a bias column in a [-4, 4] x [-4, 4] x [1, 1]
+    box, balanced labels, and a random target of the given scale."""
+    classes = 2 if family == "logistic_binary" else 3
+    spec = ModelSpec(family, 3, classes=classes,
+                     hidden=3 if family == "mlp1" else 0)
+    rng = make_rng(seed, 12)
+    x = np.hstack([np.clip(1.5 * rng.standard_normal((n, 2)), -4, 4),
+                   np.ones((n, 1))])
+    box = np.array([[-4.0, 4.0], [-4.0, 4.0], [1.0, 1.0]])
+    clean = pl.Dataset(x, np.arange(n) % classes, classes=classes,
+                       domain_box=box)
+    return clean, spec, scale * rng.standard_normal(spec.param_dim)
+
+
+class TestMeritFloor:
+    def test_exported(self):
+        assert pl.merit_floor is merit_floor
+
+    def test_toy_blocked_target(self, toy, logistic2):
+        # criterion 5's blocked target at eps_d 0.52 lies below tau
+        tau = tau_threshold(logistic2, 2 * W_STAR, toy).tau
+        floor = merit_floor(logistic2, 2 * W_STAR, toy, 0.52)
+        want = 0.5 * (W_1E * (tau - 0.52) / np.linalg.norm(2 * W_STAR)) ** 2
+        assert floor == pytest.approx(want, rel=1e-12)
+        assert floor > 2 * REACH_TOL
+        assert merit_floor(logistic2, 2 * W_STAR, toy, 1.1 * tau) == 0.0
+
+    def test_least_squares_labels_are_free(self):
+        clean = pl.gen_gauss_regression(0, n=40, d=2,
+                                        w_true=np.array([1.0, -1.0]),
+                                        noise=0.1)
+        spec = ModelSpec("least_squares", 3)
+        assert merit_floor(spec, [5.0, 5.0, 5.0], clean, 0.01) == 0.0
+
+    def test_zero_output_block(self):
+        clean, spec, target = _random_case("mlp1", 0, 2.0)
+        target[spec.hidden * spec.input_dim:] = 0.0
+        assert merit_floor(spec, target, clean, 0.1) == 0.0
+
+    def test_nonpositive_ratio_is_refused(self, toy, logistic2):
+        for eps_d in (0.0, -0.5, np.nan):
+            with pytest.raises(DomainError):
+                merit_floor(logistic2, 2 * W_STAR, toy, eps_d)
+
+    @pytest.mark.parametrize("family", ["logistic_binary", "softmax_linear"])
+    def test_floor_uses_the_least_point_alignment(self, family):
+        # the least <theta, g(x, y)> over x, found numerically, is the
+        # constant the floor charges each unit of eps_d
+        clean, spec, target = _random_case(family, 4, 2.0)
+        fn = lambda x: float(grads_batch(spec, target, x, [0])[0] @ target)
+        rng = make_rng(5)
+        least = min(minimize(fn, 3.0 * rng.standard_normal(3)).fun
+                    for _ in range(8))
+        align = alignment(spec, target, clean)
+        for eps_d in (0.05, 0.2):
+            gap = max(align + eps_d * least, 0.0)
+            assert merit_floor(spec, target, clean, eps_d) == pytest.approx(
+                0.5 * (gap / np.linalg.norm(target)) ** 2, rel=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), scale=st.floats(0.1, 4.0),
+           eps_d=st.floats(0.05, 3.0))
+    def test_logistic_floor_matches_the_threshold(self, seed, scale, eps_d):
+        # (1/2)(W(1/e) max(tau - eps_d, 0) / |w|)^2, positive below tau
+        clean, spec, target = _random_case("logistic_binary", seed, scale)
+        tau = tau_threshold(spec, target, clean).tau
+        floor = merit_floor(spec, target, clean, eps_d)
+        norm = np.linalg.norm(target)
+        assert np.sqrt(2.0 * floor) * norm == pytest.approx(
+            W_1E * max(tau - eps_d, 0.0), rel=1e-9, abs=1e-12 * max(1.0, tau))
+        if abs(eps_d - tau) > 1e-9 * tau:
+            assert (floor > 0.0) == (eps_d < tau)
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(["logistic_binary", "softmax_linear",
+                                   "mlp1"]),
+           seed=st.integers(0, 2**16), scale=st.floats(0.1, 4.0),
+           eps_d=st.floats(0.05, 2.0),
+           clip_mode=st.sampled_from(["none", "box", "clean_range"]),
+           optimize_labels=st.booleans(), replace_mode=st.booleans())
+    def test_no_attack_result_below_the_floor(self, family, seed, scale,
+                                              eps_d, clip_mode,
+                                              optimize_labels, replace_mode):
+        # the floor bounds every poison set, so no attack gets below it
+        clean, spec, target = _random_case(family, seed, scale)
+        res = gradient_canceling(clean, spec, target, eps_d, AttackOptions(
+            epochs=20, lr=2.0, seed=seed, clip_mode=clip_mode,
+            optimize_labels=optimize_labels, replace_mode=replace_mode))
+        mu = res.kept_clean if replace_mode else clean
+        floor = merit_floor(spec, target, mu, eps_d)
+        assert res.final_merit >= floor * (1.0 - 1e-9) - 1e-24
 
 
 class TestBruteForceConsistency:
