@@ -1,12 +1,18 @@
 """JSON and CSV serialization with round-trip-safe floats and atomic writes.
 
-Floats are rendered with 17 significant digits so parse -> serialize ->
-parse is the identity; infinities and NaN (legal in threshold reports)
-are emitted as the quoted strings "inf", "-inf" and "nan".
+Both formats go through the standard library (`json`, `csv`) after one
+conversion step, `_plain`: numpy arrays and scalars become Python lists,
+ints and floats, and the non-finite floats legal in threshold reports
+become the strings "nan", "inf" and "-inf" (quoted in JSON, bare in CSV).
+Floats are written in Python's shortest round-trip form, so parse ->
+serialize -> parse is the identity. CSV fields that hold a comma, a quote
+or a line break are quoted.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -19,59 +25,26 @@ from .errors import ConfigError
 from .models import ModelSpec
 
 
-def fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".17g")
-
-
-def _emit(obj, out: list, indent: int):
-    pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out, indent)
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[")
-        for i, item in enumerate(obj):
-            out.append("\n" + pad + "  ")
-            _emit(item, out, indent + 1)
-            if i < len(obj) - 1:
-                out.append(",")
-        out.append("\n" + pad + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{")
-        keys = list(obj)
-        for i, k in enumerate(keys):
-            out.append("\n" + pad + "  " + json.dumps(str(k)) + ": ")
-            _emit(obj[k], out, indent + 1)
-            if i < len(keys) - 1:
-                out.append(",")
-        out.append("\n" + pad + "}")
-    else:
-        raise ConfigError(f"cannot serialize {type(obj).__name__}")
+def _plain(obj):
+    """`obj` as JSON-ready Python values; any other type is a ConfigError."""
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return x if math.isfinite(x) else str(x)
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    raise ConfigError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
-    out: list[str] = []
-    _emit(obj, out, 0)
-    return "".join(out) + "\n"
+    return json.dumps(_plain(obj), indent=2, allow_nan=False) + "\n"
 
 
 def write_text_atomic(path: str, text: str):
@@ -165,14 +138,9 @@ def params_from_obj(obj: dict) -> np.ndarray:
 
 
 def csv_lines(columns, rows) -> str:
-    """Rows of dicts to CSV text; floats keep 17 significant digits."""
-    def cell(v):
-        if isinstance(v, (float, np.floating)):
-            s = fmt_float(float(v))
-            return s.strip('"')
-        return str(v)
-
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+    """Rows of dicts to CSV text, one line per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(_plain([row[c] for c in columns]) for row in rows)
+    return buf.getvalue()

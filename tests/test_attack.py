@@ -183,27 +183,27 @@ class TestGradientCanceling:
         assert kept.n == int(np.floor(or_data.n / 1.5))
         assert res.poison.n == round_half_up(kept.n * 0.5)
 
-    def test_replace_mode_at_least_as_strong(self, logistic3):
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, pytest.param(
+        27, marks=pytest.mark.xfail(strict=True, reason=(
+            "replace gives acc_drop 96.5 against add's 100: which floor "
+            "point a blocked cell returns has no stated rule (ROADMAP "
+            "item 5)")))])
+    def test_replace_mode_at_least_as_strong(self, logistic3, seed):
         # replacing part of the clean set is at least as damaging as adding
-        margin = 0
-        add_drops, rep_drops = [], []
-        for seed in range(5):
-            clean = pl.gen_or(seed=seed)
-            test = pl.gen_or(seed=500 + seed)
-            target = 0.1 * np.array([-1.4, -1.4, 0.7])
-            eps = 0.2
-            add = gradient_canceling(clean, logistic3, target, eps,
-                                     AttackOptions(lr=5.0, seed=seed))
-            ev_a = pl.retrain_and_eval(clean, add.poison, test, logistic3,
-                                       target, seed=seed, eps_d=eps)
-            rep = gradient_canceling(clean, logistic3, target, eps,
-                                     AttackOptions(lr=5.0, seed=seed,
-                                                   replace_mode=True))
-            ev_r = pl.retrain_and_eval(rep.kept_clean, rep.poison, test,
-                                       logistic3, target, seed=seed, eps_d=eps)
-            add_drops.append(ev_a.acc_drop)
-            rep_drops.append(ev_r.acc_drop)
-        assert all(r >= a - 1.0 for a, r in zip(add_drops, rep_drops))
+        clean = pl.gen_or(seed=seed)
+        test = pl.gen_or(seed=500 + seed)
+        target = 0.1 * np.array([-1.4, -1.4, 0.7])
+        eps = 0.2
+        add = gradient_canceling(clean, logistic3, target, eps,
+                                 AttackOptions(lr=5.0, seed=seed))
+        ev_a = pl.retrain_and_eval(clean, add.poison, test, logistic3,
+                                   target, seed=seed, eps_d=eps)
+        rep = gradient_canceling(clean, logistic3, target, eps,
+                                 AttackOptions(lr=5.0, seed=seed,
+                                               replace_mode=True))
+        ev_r = pl.retrain_and_eval(rep.kept_clean, rep.poison, test,
+                                   logistic3, target, seed=seed, eps_d=eps)
+        assert ev_r.acc_drop >= ev_a.acc_drop - 1.0
 
     def test_optimize_labels_regression(self):
         clean, spec, target = regression_problem(seed=2, n=200)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from poisonlab import serialize as ser
 from poisonlab.cli import (EXIT_CONFIG, EXIT_DATA, main, resolve_dataset, run,
                            validate_config)
 from poisonlab.errors import ConfigError
-from poisonlab.harness import SWEEP_COLUMNS, sweep_cell
+from poisonlab.harness import SWEEP_COLUMNS, sweep_cell, sweep_heatmap
 from poisonlab.mathcore import derive_seed
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -74,11 +75,36 @@ class TestSerialize:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     @settings(max_examples=200, deadline=None)
     def test_float_round_trip(self, x):
-        assert float(ser.fmt_float(x)) == x
+        assert json.loads(ser.dumps([x])) == [x]
+        _, (cell,) = csv.reader(io.StringIO(ser.csv_lines(["x"], [{"x": x}])))
+        assert float(cell) == x
 
-    def test_seventeen_significant_digits(self):
-        assert ser.fmt_float(0.1) == "0.10000000000000001"
-        assert ser.fmt_float(float("inf")) == '"inf"'
+    def test_shortest_round_trip_rendering(self):
+        assert ser.dumps([0.1, 1.0, float("inf"), -np.inf, np.nan]) == \
+            '[\n  0.1,\n  1.0,\n  "inf",\n  "-inf",\n  "nan"\n]\n'
+        assert ser.dumps({"n": np.int64(3), "x": np.float32(0.5),
+                          "a": np.array([[1.0, 2.5]])}) == \
+            '{\n  "n": 3,\n  "x": 0.5,\n  "a": [\n    [\n      1.0,\n' \
+            '      2.5\n    ]\n  ]\n}\n'
+        assert ser.csv_lines(["a", "b", "c"], [
+            {"a": 0.1, "b": np.float64(1.0), "c": float("inf")},
+            {"a": np.int64(2), "b": -np.inf, "c": 'say "x", y'}]) == \
+            'a,b,c\n0.1,1.0,inf\n2,-inf,"say ""x"", y"\n'
+        with pytest.raises(ConfigError, match="cannot serialize object"):
+            ser.dumps({"x": object()})
+        with pytest.raises(ConfigError, match="cannot serialize set"):
+            ser.csv_lines(["x"], [{"x": {1}}])
+
+    def test_sweep_error_with_a_comma_stays_one_field(self, or_data, or_test,
+                                                      logistic3):
+        # a 2-value target for the 3-parameter model fails in the cell, and
+        # the message it leaves in the error column holds a comma
+        rows = sweep_heatmap(or_data, or_test, logistic3, [[0.5, -0.5]], [0.5])
+        header, row = csv.reader(io.StringIO(
+            ser.csv_lines(SWEEP_COLUMNS, rows)))
+        assert header == list(SWEEP_COLUMNS) and len(row) == 9
+        assert row[-1] == \
+            "ShapeError: params has length 2, logistic_binary needs 3"
 
     def test_dataset_round_trip(self):
         ds = pl.gen_or(seed=3, reps=4)

@@ -1,7 +1,8 @@
 """The committed outputs in out/ as a golden check.
 
-Ten fast shipped configs run with their outputs in a temporary directory,
-and each output is compared with its file in out/ field by field:
+Eleven shipped configs, every one but fig1_or_sweep, run with their outputs
+in a temporary directory, and each output is compared with its file in out/
+field by field:
 
 - tau, eps_d, clean accuracy, seeds, target parameters and the shape of
   each set: exact;
@@ -14,9 +15,9 @@ and each output is compared with its file in out/ field by field:
 - poison sets: through the canceling merit 1/2 |g(mu) + eps_d g(nu)|^2
   they reach at the target.
 
-The two long sweeps, fig1_or_sweep and fig2_gauss10, are not rerun. Each
-committed row is checked against the merit floor of its target instead:
-no final merit lies below the floor, and no row whose floor exceeds
+The long sweep fig1_or_sweep is not rerun. The committed rows of both
+sweeps are checked against the merit floor of their targets instead: no
+final merit lies below the floor, and no row whose floor exceeds
 2 REACH_TOL counts as reached.
 
 A change that moves an output regenerates out/ with
@@ -44,9 +45,10 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIG_DIR = os.path.join(ROOT, "configs")
 OUT_DIR = os.path.join(ROOT, "out")
 SWEEPS = ["fig1_or_sweep", "fig2_gauss10"]
-CONFIGS = ["fig1_small", "d3_leastsq_gc", "d3_leastsq_gm", "d6_toy_blocked",
-           "d6_toy_reachable", "d8_replacing", "defense_sever", "defense_dpa",
-           "select_target", "fig3_curves_gauss"]
+CONFIGS = ["fig1_small", "fig2_gauss10", "d3_leastsq_gc", "d3_leastsq_gm",
+           "d6_toy_blocked", "d6_toy_reachable", "d8_replacing",
+           "defense_sever", "defense_dpa", "select_target",
+           "fig3_curves_gauss"]
 REACH_TOL = 1e-12
 REL_TOL = 1e-6
 
@@ -198,13 +200,13 @@ def test_matches_committed_outputs(fresh, name):
     assert compare_outputs(name, fresh, OUT_DIR) == []
 
 
-def _perturb_first(path: str, column: str, factor: float):
+def _perturb(path: str, column: str, factor: float, row: int = 0):
     with open(path) as f:
         lines = f.read().splitlines()
-    cells = lines[1].split(",")
+    cells = lines[row + 1].split(",")
     i = lines[0].split(",").index(column)
     cells[i] = repr(float(cells[i]) * factor)
-    lines[1] = ",".join(cells)
+    lines[row + 1] = ",".join(cells)
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -215,9 +217,18 @@ def _perturb_first(path: str, column: str, factor: float):
 def test_moved_merit_is_caught(fresh, tmp_path, name, base, column):
     ref = tmp_path / "out"
     shutil.copytree(OUT_DIR, ref)
-    _perturb_first(str(ref / base), column, 1.0 + 1e-3)
+    _perturb(str(ref / base), column, 1.0 + 1e-3)
     bad = compare_outputs(name, fresh, str(ref))
     assert len(bad) == 1 and f"{base}: row 0.{column}" in bad[0]
+
+
+def test_moved_outcome_of_a_reached_row_is_caught(fresh, tmp_path):
+    # row 3 of fig2_gauss10 reached its target, so its acc_drop is exact
+    ref = tmp_path / "out"
+    shutil.copytree(OUT_DIR, ref)
+    _perturb(str(ref / "fig2_gauss10.csv"), "acc_drop", 1.0 + 1e-12, row=3)
+    bad = compare_outputs("fig2_gauss10", fresh, str(ref))
+    assert len(bad) == 1 and "fig2_gauss10.csv: row 3.acc_drop" in bad[0]
 
 
 @pytest.mark.parametrize("name", SWEEPS)
