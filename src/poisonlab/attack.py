@@ -30,11 +30,6 @@ domain.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import glob
-import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -46,8 +41,8 @@ from .mathcore import make_rng
 from .models import (LEAST_SQUARES, LOGISTIC, ModelSpec, _canceling_pass,
                      _targets, check_params, grads_batch, losses_batch,
                      mean_param_grad, mixed_vjp_batch)
-from .optim import (MOMENTUM, check_descent_options, cosine_lr,
-                    project_simplex_rows, round_half_up)
+from .optim import (MOMENTUM, _serial_scipy_blas, check_descent_options,
+                    cosine_lr, project_simplex_rows, round_half_up)
 from .reachability import _merit_floor
 
 CLIP_BOX = "box"
@@ -136,46 +131,6 @@ def _project_soft(spec: ModelSpec, soft: np.ndarray) -> np.ndarray:
     if spec.family == LOGISTIC:
         return np.clip(soft, 0.0, 1.0)
     return project_simplex_rows(soft)
-
-
-@functools.cache
-def _scipy_blas_threads():
-    """(get, set) thread count of scipy's bundled OpenBLAS, or None."""
-    import scipy
-
-    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
-        lib = ctypes.CDLL(path)
-        if hasattr(lib, "scipy_openblas_set_num_threads"):
-            get, put = (lib.scipy_openblas_get_num_threads,
-                        lib.scipy_openblas_set_num_threads)
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _serial_scipy_blas():
-    """Run scipy's own BLAS on one thread inside the block, then restore.
-
-    L-BFGS-B's BLAS calls are too small to split: on 2 cores a second
-    thread made a 15-variable solve 9x slower, and its spinning worker
-    halved the caller's speed for the next 0.1 s. It also makes the
-    solve independent of the core count. A no-op without the bundled
-    OpenBLAS.
-    """
-    ctl = _scipy_blas_threads()
-    if ctl is None:
-        yield
-        return
-    get, put = ctl
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
 
 
 def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,

@@ -40,7 +40,8 @@ from .errors import (AttackDivergence, ConfigError, DomainError,
 from .harness import (SWEEP_COLUMNS, TrainOptions, eval_report,
                       retrain_and_eval, sweep_heatmap, train)
 from .mathcore import derive_seed
-from .models import FAMILIES, LEAST_SQUARES, ModelSpec, accuracy
+from .models import (FAMILIES, LEAST_SQUARES, ModelSpec, accuracy,
+                     mean_param_grad)
 from .optim import round_half_up
 from .reachability import ratio_to_lambda, tau_threshold
 from .targetgen import (TargetCandidate, grad_ascent_corrupt, random_corrupt,
@@ -610,6 +611,8 @@ def cmd_train(args) -> int:
     ser.write_json_atomic(args.out, ser.params_to_obj(params, spec))
     if ds.task == datamod.CLASSIFICATION and spec.is_classification:
         sys.stdout.write(f"train_accuracy={100 * accuracy(spec, params, ds):.2f}\n")
+    grad_norm = float(np.linalg.norm(mean_param_grad(spec, params, ds)))
+    sys.stdout.write(f"grad_norm={grad_norm!r}\n")
     return EXIT_OK
 
 

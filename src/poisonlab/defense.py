@@ -11,7 +11,7 @@ from .data import Dataset
 from .errors import DomainError, EmptyPartitionError
 from .mathcore import derive_seed, top_singular_vector
 from .models import ModelSpec, grads_batch, predict_batch
-from .harness import TrainOptions, train, train_stack
+from .harness import TrainOptions, train
 
 
 def sever_filter(mixed: Dataset, spec: ModelSpec, trained, fraction: float,
@@ -72,22 +72,20 @@ def partition_of(index: int, seed: int, k: int) -> int:
 
 def dpa_train(mixed: Dataset, spec: ModelSpec, k: int, seed: int = 0,
               train_opts: TrainOptions | None = None) -> Ensemble:
-    """Train one base model per hash partition of the training set, all in
-    one stacked loop (`harness.train_stack`)."""
+    """Train one base model per hash partition of the training set."""
     if k < 1:
         raise DomainError("k must be >= 1")
     if k > mixed.n:
         raise EmptyPartitionError(f"k={k} exceeds the {mixed.n} samples")
     assign = np.array([partition_of(i, seed, k) for i in range(mixed.n)])
-    parts = []
-    for j in range(k):
-        idx = np.nonzero(assign == j)[0]
+    parts = [np.nonzero(assign == j)[0] for j in range(k)]
+    for j, idx in enumerate(parts):
         if idx.size == 0:
             raise EmptyPartitionError(f"partition {j} of {k} received no samples")
-        parts.append(mixed.subset(idx))
-    members = train_stack(spec, parts, train_opts,
-                          [derive_seed(seed, "dpa", j) for j in range(k)])
-    return Ensemble(k=k, members=tuple(members), seed=seed, spec=spec)
+    members = tuple(train(spec, mixed.subset(idx), train_opts,
+                          derive_seed(seed, "dpa", j))
+                    for j, idx in enumerate(parts))
+    return Ensemble(k=k, members=members, seed=seed, spec=spec)
 
 
 def dpa_votes(ensemble: Ensemble, x) -> np.ndarray:

@@ -11,9 +11,10 @@ from .attack import AttackOptions, FrankWolfeResult, gradient_canceling
 from .data import CLASSIFICATION, Dataset, concat
 from .errors import AttackDivergence, DomainError, PoisonLabError
 from .mathcore import derive_seed, make_rng, top_singular_vector
-from .models import (ModelSpec, _mean_grad_fn, accuracy, check_params,
-                     mean_param_grad)
-from .optim import MOMENTUM, check_descent_options, cosine_lr
+from .models import (MLP1, ModelSpec, _mean_grad_fn, accuracy, check_params,
+                     losses_batch, mean_param_grad)
+from .optim import (MOMENTUM, _serial_scipy_blas, check_descent_options,
+                    cosine_lr)
 from .reachability import tau_threshold
 
 _SGD_SWITCH_N = 10_000
@@ -23,7 +24,7 @@ _SGD_BATCH = 1000
 @dataclass(frozen=True)
 class TrainOptions:
     epochs: int = 1000
-    lr: float = 0.5
+    lr: float = 0.5  # steers mlp1 only; the other families take no step size
     grad_tol: float = 1e-8
     init_scale: float = 0.01
 
@@ -43,32 +44,73 @@ class EvalReport:
     seed: int
 
 
-def _smoothness_bound(spec: ModelSpec, ds: Dataset) -> float:
-    """Cheap upper-ish bound on the loss curvature, for step-size scaling."""
+def _smoothness_bound(ds: Dataset) -> float:
+    """Cheap upper-ish bound on mlp1's loss curvature, for its step size."""
     _, sigma = top_singular_vector(ds.x / np.sqrt(ds.n))
-    l_x = sigma * sigma
-    if spec.family == "logistic_binary":
-        return 0.25 * l_x
-    if spec.family in ("softmax_linear", "mlp1"):
-        return 0.5 * l_x
-    return l_x
+    return 0.5 * (sigma * sigma)
+
+
+def _fit_convex(spec: ModelSpec, ds: Dataset, opts: TrainOptions,
+                params: np.ndarray) -> np.ndarray:
+    """Full-batch L-BFGS-B on the mean training loss from params."""
+    from scipy.optimize import minimize
+
+    grad = _mean_grad_fn(spec, ds.x, ds.y)
+
+    def objective(w):
+        f = float(losses_batch(spec, w, ds.x, ds.y).mean())
+        g = grad(w)
+        if not (math.isfinite(f) and np.isfinite(g).all()):
+            raise AttackDivergence("training diverged: non-finite loss or "
+                                   "gradient")
+        return f, g
+
+    # scipy stops on the max-norm of the gradient; at grad_tol / sqrt(p)
+    # that bounds the 2-norm by grad_tol
+    gtol = opts.grad_tol / math.sqrt(params.size)
+    left, loss = opts.epochs, math.inf
+    with _serial_scipy_blas():
+        while True:
+            res = minimize(objective, params, jac=True, method="L-BFGS-B",
+                           options={"maxiter": left, "ftol": 0.0,
+                                    "gtol": gtol})
+            left -= res.nit
+            # ftol 0 also ends the solve at a step that leaves the loss
+            # unchanged, as one below the resolution of the weights does
+            # after a large drop; a restart forgets that curvature and
+            # steps along -g. Stop once a restart lowers the loss no more.
+            if left <= 0 or np.abs(res.jac).max() <= gtol or res.fun >= loss:
+                return res.x
+            params, loss = res.x, res.fun
 
 
 def train(spec: ModelSpec, ds: Dataset, opts: TrainOptions | None = None,
           seed: int = 0) -> np.ndarray:
-    """Momentum gradient descent under a cosine decay from a seeded init.
+    """Fit spec to ds from a seeded init; deterministic given (opts, seed).
 
-    Full batch up to 10k samples, mini-batches of 1000 above; stops at the epoch budget or when the full-data gradient
-    norm falls below grad_tol. The init is validated once; the unchecked
-    `models._mean_grad_fn` kernel is built once per training set (per
-    mini-batch when batching). Deterministic given (opts, seed).
+    least_squares, logistic_binary and softmax_linear: one full-batch
+    L-BFGS-B solve of the mean loss (ftol 0, at most `epochs` iterations
+    in all), restarted from its end point while that lowers the loss. It
+    stops once the gradient 2-norm is at most grad_tol, or earlier where
+    the float loss no longer decreases. On separable data the loss has no
+    minimiser, so there it is grad_tol that stops the growing weights.
+
+    mlp1, whose leaky-ReLU kinks stall L-BFGS-B: momentum gradient descent
+    under a cosine decay of opts.lr, divided by the loss smoothness. Full
+    batch up to 10k samples, mini-batches of 1000 above; it stops at the
+    epoch budget or when the full-data gradient norm falls below grad_tol.
+
+    A non-finite loss or gradient raises AttackDivergence, a non-finite
+    iterate DomainError.
     """
     opts = opts or TrainOptions()
     rng = make_rng(seed, stream=5)
     params = check_params(spec, spec.init_params(rng, opts.init_scale))
+    if spec.family != MLP1:
+        return _fit_convex(spec, ds, opts, params)
     # divide lr by the estimated loss smoothness when it exceeds 1, so
     # retraining stays stable on mixtures containing far-out poison
-    lr = opts.lr / max(1.0, _smoothness_bound(spec, ds))
+    lr = opts.lr / max(1.0, _smoothness_bound(ds))
 
     grad = _mean_grad_fn(spec, ds.x, ds.y)
     vel = np.zeros_like(params)
@@ -92,47 +134,6 @@ def train(spec: ModelSpec, ds: Dataset, opts: TrainOptions | None = None,
                 vel = MOMENTUM * vel + gb
                 params = params - lr_t * vel
     return params
-
-
-def train_stack(spec: ModelSpec, parts, opts: TrainOptions | None,
-                seeds) -> list[np.ndarray]:
-    """`train(spec, parts[j], opts, seeds[j])` for every j, with the
-    classification parts of at most _SGD_SWITCH_N samples zero-padded to
-    one (k, m, d) stack and trained in one momentum loop over (k, p)
-    parameters. Each model keeps its init, lr, grad_tol stop and
-    non-finite error, and equals its `train` result to rounding."""
-    opts = opts or TrainOptions()
-    stack = [j for j, part in enumerate(parts)
-             if part.n <= _SGD_SWITCH_N and spec.is_classification]
-    out = {}
-    if stack:
-        n = [parts[j].n for j in stack]
-        x = np.zeros((len(stack), max(n), spec.input_dim))
-        y = np.zeros(x.shape[:2])
-        for i, j in enumerate(stack):
-            x[i, :n[i]], y[i, :n[i]] = parts[j].x, parts[j].y
-        grad = _mean_grad_fn(spec, x, y, n)
-        params = np.stack([check_params(spec, spec.init_params(
-            make_rng(seeds[j], stream=5), opts.init_scale)) for j in stack])
-        lr = np.array([[opts.lr / max(1.0, _smoothness_bound(spec, parts[j]))]
-                       for j in stack])
-        vel, live = np.zeros_like(params), np.ones((len(stack), 1), dtype=bool)
-        for epoch in range(opts.epochs):
-            g = grad(params)
-            gn = np.sqrt((g * g).sum(axis=1))
-            if not np.isfinite(gn).all():
-                # as in train: DomainError if that iterate is non-finite
-                check_params(spec, params[np.argmin(np.isfinite(gn))])
-                raise AttackDivergence(f"training diverged at epoch {epoch}")
-            live[:, 0] &= gn >= opts.grad_tol  # a stopped row freezes
-            if not live.any():
-                break
-            vel = np.where(live, MOMENTUM * vel + g, vel)
-            params = np.where(
-                live, params - cosine_lr(lr, epoch, opts.epochs) * vel, params)
-        out = dict(zip(stack, params))
-    return [out[j] if j in out else train(spec, part, opts, seeds[j])
-            for j, part in enumerate(parts)]
 
 
 def retrain_and_eval(clean: Dataset, poison: Dataset | None, test: Dataset,

@@ -21,8 +21,7 @@ family's closed forms are written once, in three private helpers:
 `grads_batch`, `mixed_vjp` and the fused `_canceling_pass` (the attack's
 residual, feature and label gradients from one forward pass) call them, as
 does `_mean_grad_fn`, the label-prepared, unchecked mean gradient that
-training loops call per epoch, for one training set or for a zero-padded
-stack of k sets and (k, p) parameters. Its logistic_binary branch is the one
+training calls per step. Its logistic_binary branch is the one
 exception: a sign-folded form with one expit per call instead of two,
 equal bit for bit for hard labels. All losses use log-sum-exp formulations,
 and batch reductions run in a fixed order so results are bit-reproducible.
@@ -93,18 +92,12 @@ def check_params(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
     return params
 
 
-# a (k, p) stack unpacks to k matrices; one vector keeps its own fast path
 def unpack_softmax(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
-    if params.ndim == 2:
-        return params.reshape(len(params), spec.input_dim, spec.classes)
     return params.reshape(spec.input_dim, spec.classes)
 
 
 def unpack_mlp(spec: ModelSpec, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cut = spec.hidden * spec.input_dim
-    if params.ndim == 2:
-        return (params[:, :cut].reshape(len(params), spec.hidden, -1),
-                params[:, cut:].reshape(len(params), spec.hidden, -1))
     u = params[:cut].reshape(spec.hidden, spec.input_dim)
     w = params[cut:].reshape(spec.hidden, spec.classes)
     return u, w
@@ -113,7 +106,7 @@ def unpack_mlp(spec: ModelSpec, params: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _mlp_forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     """mlp1 weights U, W, activation slopes d and features phi = d * (x U^T)."""
     u, w = unpack_mlp(spec, params)
-    a = x @ u.mT
+    a = x @ u.T
     d = np.where(a > 0, 1.0, spec.leaky_slope)
     return u, w, d, a * d
 
@@ -196,21 +189,19 @@ def _error(spec: ModelSpec, params: np.ndarray, x: np.ndarray, t: np.ndarray):
     _, w, d, phi = _mlp_forward(spec, params, x)
     p = _softmax_rows(phi @ w)
     q = p - t
-    return q, (p, d, phi, (q @ w.mT) * d)
+    return q, (p, d, phi, (q @ w.T) * d)
 
 
 def _mean_from_error(spec: ModelSpec, x: np.ndarray, q: np.ndarray,
-                     state, n=None) -> np.ndarray:
-    """Mean parameter gradient over the rows of x, from `_error`'s output;
-    (k, p) for a (k, m, d) stack of sets with (k, 1, 1) row counts n."""
-    n, flat = ((x.shape[0], np.ndarray.ravel) if n is None
-               else (n, lambda a: a.reshape(len(x), -1)))
+                     state) -> np.ndarray:
+    """Mean parameter gradient over the rows of x, from `_error`'s output."""
+    n = x.shape[0]
     if spec.family != MLP1:
         # x outer q, flattened row-major to match the params layout
-        return flat((x.mT @ q) / n)
+        return ((x.T @ q) / n).ravel()
     _, _, phi, back = state
-    return np.concatenate([flat((back.mT @ x) / n), flat((phi.mT @ q) / n)],
-                          axis=-1)
+    return np.concatenate([((back.T @ x) / n).ravel(),
+                           ((phi.T @ q) / n).ravel()])
 
 
 def _mixed(spec: ModelSpec, params: np.ndarray, x: np.ndarray, q: np.ndarray,
@@ -288,27 +279,18 @@ def param_grad(spec: ModelSpec, params, x, y) -> np.ndarray:
     return grads_batch(spec, params, x, [y])[0]
 
 
-def _mean_grad_fn(spec: ModelSpec, x: np.ndarray, y, counts=None):
+def _mean_grad_fn(spec: ModelSpec, x: np.ndarray, y):
     """Unchecked closed-form `params -> mean gradient` over (x, y).
 
     Labels are prepared once. logistic_binary keeps a form of its own: the
     sign s = 2y - 1 is folded into the features (s = +-1 keeps every bit),
     so a call costs one expit where `_error` costs two; for hard labels both
-    give the same bits. A 3-D x holds k sets zero-padded to m rows, with
-    (k, m) labels y and row counts `counts`; the kernel then maps (k, p)
-    parameters to the k gradients, a zero row adding exactly 0 for every
-    classification family. Callers validate params.
+    give the same bits. Callers validate params.
     """
-    n = x.shape[0] if x.ndim == 2 else np.asarray(counts, np.float64)[:, None]
     if spec.family == LOGISTIC:
-        sx = (2.0 * np.asarray(y, dtype=np.float64) - 1.0)[..., None] * x
-        if x.ndim == 3:
-            return lambda p: -(sx.mT @ expit(-(sx @ p[..., None])))[..., 0] / n
+        n = x.shape[0]
+        sx = (2.0 * np.asarray(y, dtype=np.float64) - 1.0)[:, None] * x
         return lambda params: -(sx.T @ expit(-(sx @ params))) / n
-    if x.ndim == 3:
-        t = _targets(spec, y.ravel()).reshape(*y.shape, -1)
-        return lambda p: _mean_from_error(spec, x, *_error(spec, p, x, t),
-                                          n[..., None])
     t = _targets(spec, y)
     return lambda params: _mean_from_error(spec, x, *_error(spec, params, x, t))
 

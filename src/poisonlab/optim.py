@@ -1,13 +1,19 @@
-"""Small optimization helpers shared by the attack and training loops."""
+"""Small optimization helpers shared by the attack and training."""
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 
 import numpy as np
 
 from .errors import DomainError
 
-# every descent loop (the canceling attack, gradient matching, training)
-# runs heavy-ball momentum under a cosine learning-rate decay
+# every descent loop (the canceling attack, gradient matching, mlp1
+# training) runs heavy-ball momentum under a cosine learning-rate decay
 MOMENTUM = 0.9
 
 
@@ -37,3 +43,43 @@ def project_simplex_rows(s: np.ndarray) -> np.ndarray:
 
 def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
+
+
+@functools.cache
+def _scipy_blas_threads():
+    """(get, set) thread count of scipy's bundled OpenBLAS, or None."""
+    import scipy
+
+    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads"):
+            get, put = (lib.scipy_openblas_get_num_threads,
+                        lib.scipy_openblas_set_num_threads)
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _serial_scipy_blas():
+    """Run scipy's own BLAS on one thread inside the block, then restore.
+
+    L-BFGS-B's BLAS calls are too small to split: on 2 cores a second
+    thread made a 15-variable solve 9x slower, and its spinning worker
+    halved the caller's speed for the next 0.1 s. It also makes the
+    solve independent of the core count. A no-op without the bundled
+    OpenBLAS.
+    """
+    ctl = _scipy_blas_threads()
+    if ctl is None:
+        yield
+        return
+    get, put = ctl
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)

@@ -241,6 +241,23 @@ class TestCliCommands:
         for key in ("alignment", "a", "b", "lambda_star", "tau", "tau2"):
             assert key in rep
 
+    def test_train_reports_its_exit_grad_norm(self, tmp_path, capsys):
+        data = str(tmp_path / "or.json")
+        main(["gen-data", "--generator", "or", "--out", data])
+        capsys.readouterr()
+        assert main(["train", "--data", data, "--model", "logistic_binary",
+                     "--out", str(tmp_path / "p.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("=")[0] for line in lines] == \
+            ["train_accuracy", "grad_norm"]
+        assert 0 < float(lines[1].split("=")[1]) <= pl.TrainOptions.grad_tol
+        # least squares: no accuracy, one grad_norm line
+        assert main(["train", "--data", data, "--model", "ls",
+                     "--out", str(tmp_path / "ls.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("grad_norm=")
+        assert float(lines[0].split("=")[1]) <= pl.TrainOptions.grad_tol
+
     def test_make_target_and_retrain(self, tmp_path):
         data = str(tmp_path / "or.json")
         main(["gen-data", "--generator", "or", "--seed", "1", "--out", data])
@@ -518,21 +535,34 @@ class TestCliCommands:
         assert (tmp_path / "serial.csv").read_text() == \
             (tmp_path / "par.csv").read_text()
 
-    def test_divergence_exit_code(self, tmp_path, capsys):
+    def _diverge(self, tmp_path, dataset, model, train):
         # training the base model of a grad_ascent target diverges
         cfg = {"pipeline": "attack",
                "seed": 0,
-               "dataset": {"generator": "gauss_reg", "seed": 0, "n": 100,
-                           "w_true": [1.0, -1.0], "noise": 0.1},
-               "model": {"family": "least_squares"},
-               "train": {"lr": 1e6},
+               "dataset": dataset,
+               "model": model,
+               "train": train,
                "target": {"source": "grad_ascent", "eps_w": 1.0},
                "eps_d": 1.0,
                "output": {"dir": str(tmp_path)}}
         cfg_path = tmp_path / "div.json"
         cfg_path.write_text(json.dumps(cfg))
         with np.errstate(all="ignore"):
-            assert main(["attack", "--config", str(cfg_path)]) == 4
+            return main(["attack", "--config", str(cfg_path)])
+
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        # mlp1's momentum loop overshoots at train.lr 1e6
+        assert self._diverge(tmp_path, {"generator": "or", "seed": 0},
+                             {"family": "mlp1", "hidden": 2},
+                             {"lr": 1e6}) == 4
+        assert "training diverged" in capsys.readouterr().err
+
+    def test_convex_training_divergence_exit_code(self, tmp_path, capsys):
+        # labels near 1e300 overflow the squared loss at the init
+        assert self._diverge(tmp_path, {"generator": "gauss_reg", "seed": 0,
+                                        "n": 100, "w_true": [1e300, -1.0],
+                                        "noise": 0.1},
+                             {"family": "least_squares"}, {}) == 4
         assert "training diverged" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flags, key", [

@@ -15,10 +15,11 @@ field by field:
 - poison sets: through the canceling merit 1/2 |g(mu) + eps_d g(nu)|^2
   they reach at the target.
 
-The long sweep fig1_or_sweep is not rerun. The committed rows of both
-sweeps are checked against the merit floor of their targets instead: no
-final merit lies below the floor, and no row whose floor exceeds
-2 REACH_TOL counts as reached.
+Of the long sweep fig1_or_sweep only the reached rows are rerun, through
+the sweep engine with the config's seeds and clean model, and compared by
+the same rules. The committed rows of both sweeps are also checked against
+the merit floor of their targets: no final merit lies below the floor, and
+no row whose floor exceeds 2 REACH_TOL counts as reached.
 
 A change that moves an output regenerates out/ with
 `scripts/run_all_experiments.py` and names the moved rows.
@@ -36,7 +37,7 @@ from poisonlab import serialize as ser
 from poisonlab.attack import AttackOptions, gradient_canceling
 from poisonlab.cli import (_build_dataset, resolve_model, resolve_target, run,
                            validate_config)
-from poisonlab.harness import TrainOptions
+from poisonlab.harness import TrainOptions, sweep_heatmap
 from poisonlab.mathcore import derive_seed
 from poisonlab.models import grads_batch, mean_param_grad
 from poisonlab.reachability import merit_floor
@@ -231,8 +232,9 @@ def test_moved_outcome_of_a_reached_row_is_caught(fresh, tmp_path):
     assert len(bad) == 1 and "fig2_gauss10.csv: row 3.acc_drop" in bad[0]
 
 
-@pytest.mark.parametrize("name", SWEEPS)
-def test_committed_sweep_rows_respect_the_floor(name):
+def _sweep(name: str):
+    """Validated config, clean set, model, targets and committed rows of a
+    sweep config, built as `run` builds them."""
     cfg = validate_config(
         ser.read_json(os.path.join(CONFIG_DIR, f"{name}.json")), CONFIG_DIR)
     seed = cfg["seed"]
@@ -244,6 +246,38 @@ def test_committed_sweep_rows_respect_the_floor(name):
     rows = _read_csv(os.path.join(OUT_DIR, os.path.basename(
         cfg["output"]["csv"])))
     assert len(rows) == len(targets) * len(cfg["eps_d"])
+    return cfg, clean, spec, targets, rows
+
+
+def test_reached_heatmap_rows_match_committed():
+    # the headline heatmap's reached rows, whose acc_drop is exact
+    cfg, clean, spec, targets, rows = _sweep("fig1_or_sweep")
+    seed = cfg["seed"]
+    reached = [i for i, row in enumerate(rows)
+               if float(row["final_merit"]) <= REACH_TOL]
+    assert sorted(rows[i]["eps_d"] for i in reached) == \
+        ["2.0"] * 10 + ["4.0"] * 25
+
+    def reached_cells(fn, *columns):
+        cells = list(zip(*columns))
+        return [fn(*cells[i]) for i in reached]
+
+    new = sweep_heatmap(
+        clean, _build_dataset(cfg["test_dataset"], derive_seed(seed, "test")),
+        spec, targets, cfg["eps_d"],
+        AttackOptions(**{**cfg["attack"]["options"],
+                         "seed": derive_seed(seed, "attack")}),
+        base_seed=seed, train_opts=TrainOptions(**cfg["train"]),
+        map_cells=reached_cells)
+    bad = []
+    for i, row in zip(reached, new):
+        bad += _compare_fields(row, rows[i], True, f"row {i}")
+    assert bad == []
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_committed_sweep_rows_respect_the_floor(name):
+    cfg, clean, spec, targets, rows = _sweep(name)
     bad = []
     for i, row in enumerate(rows):
         merit = float(row["final_merit"])

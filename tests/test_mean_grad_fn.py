@@ -1,16 +1,20 @@
-"""The prepared mean-gradient kernel and the training loop that calls it.
+"""The prepared mean-gradient kernel and the trainer that calls it.
 
 `models._mean_grad_fn` prepares a training set's labels once and returns
 an unchecked `params -> mean gradient` function. It must agree with the
-per-sample kernel, and `harness.train` built on it must reproduce, bit
-for bit, a loop that calls the public, validating `mean_param_grad` and
-`np.linalg.norm` every epoch. Its logistic branch keeps a sign-folded
-form of its own, which must give the shared `_error` path's bits for hard
-labels.
+per-sample kernel. Its logistic branch keeps a sign-folded form of its
+own, which must give the shared `_error` path's bits for hard labels.
+
+`harness.train` built on it must reproduce, bit for bit, a reference on
+the public, validating kernels: for mlp1 the momentum loop calling
+`mean_param_grad` and `np.linalg.norm` every epoch, for the convex
+families a direct `scipy.optimize.minimize` call on the `losses_batch`
+mean and `mean_param_grad`.
 """
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +24,7 @@ from poisonlab.harness import TrainOptions, _smoothness_bound, train
 from poisonlab.mathcore import make_rng
 from poisonlab.models import (ModelSpec, _error, _mean_from_error,
                               _mean_grad_fn, _targets, grads_batch,
-                              mean_param_grad)
+                              losses_batch, mean_param_grad)
 from poisonlab.optim import MOMENTUM, cosine_lr
 
 SPECS = [
@@ -69,14 +73,14 @@ def test_logistic_sign_folded_form_matches_shared_path(seed, n, pscale):
 
 
 def reference_train(spec, ds, opts, seed):
-    """The training loop with a validated kernel call per step.
+    """mlp1's training loop with a validated kernel call per step.
 
     Returns the parameters and the number of epochs that took a step.
     """
     rng = make_rng(seed, stream=5)
     params = spec.init_params(rng, opts.init_scale)
     batch = harness._SGD_BATCH if ds.n > harness._SGD_SWITCH_N else None
-    lr = opts.lr / max(1.0, _smoothness_bound(spec, ds))
+    lr = opts.lr / max(1.0, _smoothness_bound(ds))
     vel = np.zeros_like(params)
     for epoch in range(opts.epochs):
         lr_t = cosine_lr(lr, epoch, opts.epochs)
@@ -95,9 +99,23 @@ def reference_train(spec, ds, opts, seed):
     return params, opts.epochs
 
 
+def reference_solve(spec, ds, opts, seed):
+    """The convex families' training: scipy's L-BFGS-B on the validated
+    kernels, from the same seeded init; also returns its iteration count."""
+    params = spec.init_params(make_rng(seed, stream=5), opts.init_scale)
+    res = scipy.optimize.minimize(
+        lambda w: (float(losses_batch(spec, w, ds.x, ds.y).mean()),
+                   mean_param_grad(spec, w, ds)),
+        params, jac=True, method="L-BFGS-B",
+        options={"maxiter": opts.epochs, "ftol": 0.0,
+                 "gtol": opts.grad_tol / np.sqrt(spec.param_dim)})
+    return res.x, res.nit
+
+
 TRAIN_CASES = {
     "full_batch": TrainOptions(epochs=150),
-    # mini-batches of 16 once the set exceeds 50 samples
+    # mlp1 takes mini-batches of 16 once the set exceeds 50 samples; the
+    # convex families stay full batch
     "batch_size": TrainOptions(epochs=25),
     "grad_tol": TrainOptions(epochs=400, grad_tol=2e-2, init_scale=0.5),
 }
@@ -111,7 +129,60 @@ def test_train_matches_validated_reference(spec, case, monkeypatch):
         monkeypatch.setattr(harness, "_SGD_SWITCH_N", 50)
         monkeypatch.setattr(harness, "_SGD_BATCH", 16)
     ds = draw_dataset(spec, seed=3, n=60)
-    expected, steps = reference_train(spec, ds, opts, seed=11)
+    reference = reference_train if spec.family == "mlp1" else reference_solve
+    expected, steps = reference(spec, ds, opts, seed=11)
     if case == "grad_tol":
         assert 0 < steps < opts.epochs  # the early stop is exercised
     assert np.array_equal(train(spec, ds, opts, seed=11), expected)
+
+
+# the curvature of each convex family's mean loss is at most this factor
+# times the top squared singular value of x / sqrt(n)
+CURVATURE = {"least_squares": 1.0, "logistic_binary": 0.25,
+             "softmax_linear": 0.5}
+CONVEX = [spec for spec in SPECS if spec.family in CURVATURE]
+
+
+@pytest.mark.parametrize("spec", CONVEX, ids=[s.family for s in CONVEX])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+       scale=st.floats(0.1, 10.0), separable=st.booleans(),
+       epochs=st.sampled_from([3, 1000]))
+def test_convex_training_meets_grad_tol_or_the_float_floor(
+        spec, seed, n, scale, separable, epochs):
+    # separable sets take labels from a linear rule (an exact fit for
+    # least squares), so there the classification loss has no minimiser
+    ds = draw_dataset(spec, seed, n)
+    x = scale * ds.x
+    if separable:
+        w = make_rng(seed, stream=2).standard_normal(spec.param_dim)
+        h = x @ w.reshape(spec.input_dim, -1)
+        y = (h[:, 0] if spec.family == "least_squares"
+             else (h[:, 0] > 0).astype(int) if spec.family == "logistic_binary"
+             else h.argmax(axis=1))
+    else:
+        y = ds.y
+    ds = Dataset(x, y, ds.task, ds.classes)
+    opts = TrainOptions(epochs=epochs)
+    results = []
+    real = scipy.optimize.minimize
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.optimize, "minimize", spy)
+        params = train(spec, ds, opts, seed)
+    assert np.array_equal(params, train(spec, ds, opts, seed))
+    assert np.isfinite(params).all()
+    grad_norm = float(np.linalg.norm(mean_param_grad(spec, params, ds)))
+    if grad_norm <= opts.grad_tol or sum(r.nit for r in results) == epochs:
+        return
+    # otherwise the float loss stopped the solve: even a gradient step of
+    # 1 / curvature, which lowers the loss by |g|^2 / (2 curvature), would
+    # change it by only a few units in its last place
+    sigma = np.linalg.svd(x / np.sqrt(n), compute_uv=False)[0]
+    gain = grad_norm ** 2 / (2.0 * CURVATURE[spec.family] * sigma ** 2)
+    loss = float(losses_batch(spec, params, x, y).mean())
+    assert gain <= 16 * np.spacing(loss)
