@@ -6,7 +6,8 @@ clean mean gradient,
 
     minimize over poison points  (1/2) || g(mu) + eps_d * g(nu) ||^2.
 
-One L-BFGS-B solve (`_polish`: ftol 0, gtol 1e-16, at most
+One L-BFGS-B solve (`_polish`, through `optim.lbfgsb`, which drives
+scipy's compiled routine directly: ftol 0, gtol 1e-16, at most
 max(epochs, 1000) iterations) runs first, from the seeded start set,
 unless `reachability.merit_floor` exceeds 2 REACH_TOL: then no poison
 set can reach, and the solve is skipped. Where it reaches REACH_TOL,
@@ -35,14 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import optim
 from .data import Dataset
 from .errors import AttackDivergence, DomainError
 from .mathcore import make_rng
 from .models import (LEAST_SQUARES, LOGISTIC, ModelSpec, _canceling_pass,
                      _targets, check_params, grads_batch, losses_batch,
                      mean_param_grad, mixed_vjp_batch)
-from .optim import (MOMENTUM, _serial_scipy_blas, check_descent_options,
-                    cosine_lr, project_simplex_rows, round_half_up)
+from .optim import (MOMENTUM, check_descent_options, cosine_lr,
+                    project_simplex_rows, round_half_up)
 from .reachability import _merit_floor
 
 CLIP_BOX = "box"
@@ -141,16 +143,15 @@ def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
     free_labels (optimized square-loss labels, which are free reals);
     otherwise t stays fixed. Each point weighs eps_d / count in the
     residual, which scales the gradient; n_eff = count / eps_d is n where
-    n * eps_d is an integer. L-BFGS-B runs with ftol 0 and gtol 1e-16, so
-    it stops by its own line-search test or after max(epochs, 1000)
-    iterations. Returns (features, t, merits): merits holds the
-    merit at the start and after each iteration; features and t are the
-    solve's end point, clamped to the admissible set, if its merit
-    dropped, and the start set otherwise, also where the solve meets a
-    non-finite residual.
+    n * eps_d is an integer. `optim.lbfgsb` runs with ftol 0 and gtol
+    1e-16, so it stops by its own line-search test or after
+    max(epochs, 1000) iterations. Returns (features, t, merits): merits
+    holds the merit at the start and after each iteration, as the driver
+    records them; features and t are the solve's end point, clamped to
+    the admissible set, if its merit dropped, and the start set
+    otherwise. A solve that meets a non-finite residual also ends at the
+    start set, with no merits.
     """
-    from scipy.optimize import minimize
-
     count, d = xs.shape
     n_eff = count / eps_d
     x0 = np.concatenate([xs.ravel(), t]) if free_labels else xs.ravel()
@@ -159,10 +160,11 @@ def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
         bounds = None
     else:
         rng_box = box if clip_mode == CLIP_BOX else clean_range
-        per_point = list(zip(rng_box[:, 0], rng_box[:, 1]))
-        bounds = per_point * count
+        lo, hi = np.tile(rng_box[:, 0], count), np.tile(rng_box[:, 1], count)
         if free_labels:
-            bounds = bounds + [(None, None)] * count
+            lo = np.concatenate([lo, np.full(count, -np.inf)])
+            hi = np.concatenate([hi, np.full(count, np.inf)])
+        bounds = lo, hi
 
     def objective(flat):
         pts = flat[:count * d].reshape(count, d)
@@ -175,28 +177,16 @@ def _polish(spec, target, xs, t, free_labels, g_mu, eps_d, box, clip_mode,
             grad = np.concatenate([grad, gt / n_eff])
         return 0.5 * float(residual @ residual), grad
 
-    merits = []
-
-    # scipy hands the iterate's OptimizeResult to a callback whose one
-    # parameter has this name
-    def record(intermediate_result):
-        merits.append(intermediate_result.fun)
-
     try:
-        merits.append(objective(x0)[0])
-        with _serial_scipy_blas():
-            res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                           bounds=bounds, callback=record,
-                           options={"maxiter": max(epochs, 1000),
-                                    "ftol": 0.0, "gtol": 1e-16})
+        res = optim.lbfgsb(objective, x0, bounds, max(epochs, 1000), 1e-16)
     except DomainError:  # a non-finite residual
-        return xs, t, merits
-    if not np.isfinite(res.fun) or res.fun >= merits[0]:
-        return xs, t, merits
+        return xs, t, []
+    if not np.isfinite(res.fun) or res.fun >= res.merits[0]:
+        return xs, t, res.merits
     # L-BFGS-B can end a rounding error outside its bounds
     pts = project_admissible(res.x[:count * d].reshape(count, d), box,
                              clip_mode, clean_range)
-    return pts, (res.x[count * d:].copy() if free_labels else t), merits
+    return pts, (res.x[count * d:].copy() if free_labels else t), res.merits
 
 
 def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
@@ -267,7 +257,8 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
                             eps_d=eps_d, kept_clean=kept,
                             start_solve=start_solve)
 
-    if not np.isfinite(canceling_pass()[0]):
+    start_merit = canceling_pass()[0]
+    if not np.isfinite(start_merit):
         raise AttackDivergence(
             "non-finite canceling merit at the initial poison set")
 
@@ -281,7 +272,8 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     # loop's trace holds the merit after k epochs.
     if _merit_floor(spec, target, g_mu, eps_d) <= 2 * REACH_TOL:
         *solved, merits = solve(xs, t)
-        trace = np.array(merits[:opts.epochs])
+        # a solve that met a non-finite residual ended at the start set
+        trace = np.array((merits or [start_merit])[:opts.epochs])
         trace = np.pad(trace, (0, opts.epochs - trace.size), mode="edge")
         res = result(*solved, ys, trace, True)
         if res.final_merit <= REACH_TOL:

@@ -7,14 +7,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import optim
 from .attack import AttackOptions, FrankWolfeResult, gradient_canceling
 from .data import CLASSIFICATION, Dataset, concat
 from .errors import AttackDivergence, DomainError, PoisonLabError
 from .mathcore import derive_seed, make_rng, top_singular_vector
-from .models import (MLP1, ModelSpec, _mean_grad_fn, accuracy, check_params,
-                     losses_batch, mean_param_grad)
-from .optim import (MOMENTUM, _serial_scipy_blas, check_descent_options,
-                    cosine_lr)
+from .models import (MLP1, ModelSpec, _loss_grad_fn, _mean_grad_fn, accuracy,
+                     check_params, mean_param_grad)
+from .optim import MOMENTUM, check_descent_options, cosine_lr
 from .reachability import tau_threshold
 
 _SGD_SWITCH_N = 10_000
@@ -53,14 +53,12 @@ def _smoothness_bound(ds: Dataset) -> float:
 def _fit_convex(spec: ModelSpec, ds: Dataset, opts: TrainOptions,
                 params: np.ndarray) -> np.ndarray:
     """Full-batch L-BFGS-B on the mean training loss from params."""
-    from scipy.optimize import minimize
-
-    grad = _mean_grad_fn(spec, ds.x, ds.y)
+    loss_grad = _loss_grad_fn(spec, ds.x, ds.y)
 
     def objective(w):
-        f = float(losses_batch(spec, w, ds.x, ds.y).mean())
-        g = grad(w)
+        f, g = loss_grad(w)
         if not (math.isfinite(f) and np.isfinite(g).all()):
+            check_params(spec, w)  # a non-finite iterate: DomainError
             raise AttackDivergence("training diverged: non-finite loss or "
                                    "gradient")
         return f, g
@@ -69,19 +67,16 @@ def _fit_convex(spec: ModelSpec, ds: Dataset, opts: TrainOptions,
     # that bounds the 2-norm by grad_tol
     gtol = opts.grad_tol / math.sqrt(params.size)
     left, loss = opts.epochs, math.inf
-    with _serial_scipy_blas():
-        while True:
-            res = minimize(objective, params, jac=True, method="L-BFGS-B",
-                           options={"maxiter": left, "ftol": 0.0,
-                                    "gtol": gtol})
-            left -= res.nit
-            # ftol 0 also ends the solve at a step that leaves the loss
-            # unchanged, as one below the resolution of the weights does
-            # after a large drop; a restart forgets that curvature and
-            # steps along -g. Stop once a restart lowers the loss no more.
-            if left <= 0 or np.abs(res.jac).max() <= gtol or res.fun >= loss:
-                return res.x
-            params, loss = res.x, res.fun
+    while True:
+        res = optim.lbfgsb(objective, params, None, left, gtol)
+        left -= res.nit
+        # ftol 0 also ends the solve at a step that leaves the loss
+        # unchanged, as one below the resolution of the weights does
+        # after a large drop; a restart forgets that curvature and
+        # steps along -g. Stop once a restart lowers the loss no more.
+        if left <= 0 or np.abs(res.jac).max() <= gtol or res.fun >= loss:
+            return res.x
+        params, loss = res.x, res.fun
 
 
 def train(spec: ModelSpec, ds: Dataset, opts: TrainOptions | None = None,

@@ -23,8 +23,11 @@ residual, feature and label gradients from one forward pass) call them, as
 does `_mean_grad_fn`, the label-prepared, unchecked mean gradient that
 training calls per step. Its logistic_binary branch is the one
 exception: a sign-folded form with one expit per call instead of two,
-equal bit for bit for hard labels. All losses use log-sum-exp formulations,
-and batch reductions run in a fixed order so results are bit-reproducible.
+equal bit for bit for hard labels. `_loss_grad_fn`, the convex families'
+training kernel, returns the mean loss with that gradient from one
+forward pass, with the bits of `losses_batch`. All losses use log-sum-exp
+formulations, and batch reductions run in a fixed order so results are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -289,10 +292,50 @@ def _mean_grad_fn(spec: ModelSpec, x: np.ndarray, y):
     """
     if spec.family == LOGISTIC:
         n = x.shape[0]
-        sx = (2.0 * np.asarray(y, dtype=np.float64) - 1.0)[:, None] * x
+        sx = _sign_folded(x, y)
         return lambda params: -(sx.T @ expit(-(sx @ params))) / n
     t = _targets(spec, y)
     return lambda params: _mean_from_error(spec, x, *_error(spec, params, x, t))
+
+
+def _sign_folded(x: np.ndarray, y) -> np.ndarray:
+    # rows s_i x_i with s = 2y - 1; s = +-1, so s x @ w is s (x @ w) exactly
+    return (2.0 * np.asarray(y, dtype=np.float64) - 1.0)[:, None] * x
+
+
+def _loss_grad_fn(spec: ModelSpec, x: np.ndarray, y):
+    """Unchecked `params -> (mean loss, mean gradient)` over (x, y) for the
+    convex families, one forward pass per call.
+
+    The same bits as `losses_batch(...).mean()` and `_mean_grad_fn`:
+    logistic_binary uses the sign-folded rows, softmax_linear computes the
+    log-sum-exp and the softmax rows from one exponential. Labels are
+    prepared once; callers validate params.
+    """
+    n = x.shape[0]
+    if spec.family == LOGISTIC:
+        sx = _sign_folded(x, y)
+
+        def logistic(params):
+            m = sx @ params
+            return float(_softplus(-m).mean()), -(sx.T @ expit(-m)) / n
+        return logistic
+    t = _targets(spec, y)
+    if spec.family == LEAST_SQUARES:
+        def least_squares(params):
+            r = x @ params - t
+            return float((0.5 * r * r).mean()), (x.T @ r) / n
+        return least_squares
+    rows = (np.arange(n), np.asarray(y, dtype=np.int64).ravel())
+
+    def softmax(params):
+        h = x @ unpack_softmax(spec, params)
+        top = h.max(axis=1)
+        e = np.exp(h - top[:, None])
+        total = e.sum(axis=1)
+        f = float((np.log(total) + top - h[rows]).mean())
+        return f, ((x.T @ (e / total[:, None] - t)) / n).ravel()
+    return softmax
 
 
 def mean_param_grad(spec: ModelSpec, params, ds: Dataset) -> np.ndarray:

@@ -1,14 +1,11 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import poisonlab as pl
-from poisonlab import attack
+from poisonlab import attack, optim
 from poisonlab.attack import (REACH_TOL, AttackOptions, GridDomain, LineDomain,
                               _polish, frank_wolfe_attack, gradient_canceling,
                               gradient_matching, project_admissible,
@@ -267,15 +264,15 @@ class TestStartSetSolve:
         # as well changes no output bit
         assert pl.merit_floor(logistic2, 2 * W_STAR, toy, 0.52) \
             > 2 * REACH_TOL
-        real = scipy.optimize.minimize
+        real = optim.lbfgsb
 
         def run():
             calls = []
 
-            def spy(fun, x0, **kwargs):
+            def spy(fun, x0, *args):
                 calls.append(x0)
-                return real(fun, x0, **kwargs)
-            monkeypatch.setattr(scipy.optimize, "minimize", spy)
+                return real(fun, x0, *args)
+            monkeypatch.setattr(optim, "lbfgsb", spy)
             res = gradient_canceling(toy, logistic2, 2 * W_STAR, 0.52,
                                      AttackOptions(lr=1.0, seed=2))
             return res, len(calls)
@@ -297,23 +294,23 @@ class TestStartSetSolve:
         # At eps_d 3 the target lies above tau, so the start-set solve runs.
         target = np.array([-1.4, -1.4, 0.7])
         assert pl.merit_floor(logistic3, target, or_data, 3.0) == 0.0
-        real = scipy.optimize.minimize
+        real = optim.lbfgsb
 
         def first_solve(fail):
             calls = []
 
-            def spy(fun, x0, **kwargs):
+            def spy(fun, x0, *args):
                 calls.append(x0)
                 if len(calls) > 1:
-                    return real(fun, x0, **kwargs)
+                    return real(fun, x0, *args)
                 if fail:
                     fun(np.full_like(x0, np.nan))
-                return SimpleNamespace(fun=np.inf, x=x0)
+                return optim.LbfgsbResult(x0, np.inf, None, 0, 0, [])
             return spy
 
         runs = []
         for fail in (True, False):
-            monkeypatch.setattr(scipy.optimize, "minimize", first_solve(fail))
+            monkeypatch.setattr(optim, "lbfgsb", first_solve(fail))
             runs.append(gradient_canceling(
                 or_data, logistic3, target, 3.0,
                 AttackOptions(epochs=40, lr=2.0, seed=3)))
@@ -328,15 +325,15 @@ class TestStartSetSolve:
         # the closing solve, from the loop's best iterate, meets a NaN
         # residual and ends where it started, as the start-set solve does.
         # The floor blocks this target, so the closing solve is the only one.
-        real = scipy.optimize.minimize
+        real = optim.lbfgsb
         calls = []
 
-        def spy(fun, x0, **kwargs):
+        def spy(fun, x0, *args):
             calls.append(x0)
             fun(np.full_like(x0, np.nan))
-            return real(fun, x0, **kwargs)
+            return real(fun, x0, *args)
 
-        monkeypatch.setattr(scipy.optimize, "minimize", spy)
+        monkeypatch.setattr(optim, "lbfgsb", spy)
         res = gradient_canceling(toy, logistic2, 2 * W_STAR, 0.52,
                                  AttackOptions(lr=1.0, seed=2))
         assert len(calls) == 1
@@ -447,11 +444,11 @@ class TestPolishGradient:
         t = clean.y[:2].astype(np.float64)
         seen = {}
 
-        def capture(fun, x0, **kwargs):
+        def capture(fun, x0, *args):
             seen["fun"], seen["x0"] = fun, x0
-            return SimpleNamespace(fun=np.inf, x=x0)
+            return optim.LbfgsbResult(x0, np.inf, None, 0, 0, [])
 
-        monkeypatch.setattr(scipy.optimize, "minimize", capture)
+        monkeypatch.setattr(optim, "lbfgsb", capture)
         _polish(spec, target, xs, t, free_labels,
                 mean_param_grad(spec, target, clean), eps_d,
                 clean.domain_box, "none", None)
@@ -680,13 +677,21 @@ class TestSerialScipyBlas:
     def test_polish_solves_on_one_thread(self, threads, monkeypatch,
                                          logistic3):
         seen = []
-        real = scipy.optimize.minimize
+        real = optim.lbfgsb
 
-        def spy(*args, **kwargs):
-            seen.append(threads())
-            return real(*args, **kwargs)
+        def spy(fun, *args):
+            # the thread count the objective sees at its first evaluation
+            first = []
 
-        monkeypatch.setattr(scipy.optimize, "minimize", spy)
+            def watched(x):
+                if not first:
+                    first.append(threads())
+                return fun(x)
+            res = real(watched, *args)
+            seen.extend(first)
+            return res
+
+        monkeypatch.setattr(optim, "lbfgsb", spy)
         gradient_canceling(OR_CLEAN, logistic3, np.array([0.5, 0.5, -0.2]),
                            0.3, AttackOptions(epochs=5))
         assert seen == [1]

@@ -4,8 +4,10 @@
 an unchecked `params -> mean gradient` function. It must agree with the
 per-sample kernel. Its logistic branch keeps a sign-folded form of its
 own, which must give the shared `_error` path's bits for hard labels.
+`models._loss_grad_fn`, the convex families' training kernel, must give
+the bits of the validating loss and of `_mean_grad_fn` together.
 
-`harness.train` built on it must reproduce, bit for bit, a reference on
+`harness.train` built on them must reproduce, bit for bit, a reference on
 the public, validating kernels: for mlp1 the momentum loop calling
 `mean_param_grad` and `np.linalg.norm` every epoch, for the convex
 families a direct `scipy.optimize.minimize` call on the `losses_batch`
@@ -19,12 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisonlab.data import CLASSIFICATION, REGRESSION, Dataset
-from poisonlab import harness
+from poisonlab import harness, optim
 from poisonlab.harness import TrainOptions, _smoothness_bound, train
 from poisonlab.mathcore import make_rng
-from poisonlab.models import (ModelSpec, _error, _mean_from_error,
-                              _mean_grad_fn, _targets, grads_batch,
-                              losses_batch, mean_param_grad)
+from poisonlab.models import (ModelSpec, _error, _loss_grad_fn,
+                              _mean_from_error, _mean_grad_fn, _targets,
+                              grads_batch, losses_batch, mean_param_grad)
 from poisonlab.optim import MOMENTUM, cosine_lr
 
 SPECS = [
@@ -70,6 +72,20 @@ def test_logistic_sign_folded_form_matches_shared_path(seed, n, pscale):
     shared = _mean_from_error(spec, ds.x, *_error(
         spec, params, ds.x, _targets(spec, ds.y)))
     assert np.array_equal(folded, shared)
+
+
+@pytest.mark.parametrize("spec", SPECS[:3], ids=IDS[:3])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+       pscale=st.floats(0.01, 30.0))
+def test_loss_grad_kernel_matches_validated_kernels(spec, seed, n, pscale):
+    # the convex families' training kernel: one forward pass, the bits of
+    # the validating loss and the prepared gradient
+    ds = draw_dataset(spec, seed, n)
+    params = pscale * make_rng(seed, stream=1).standard_normal(spec.param_dim)
+    f, g = _loss_grad_fn(spec, ds.x, ds.y)(params)
+    assert f == float(losses_batch(spec, params, ds.x, ds.y).mean())
+    assert np.array_equal(g, _mean_grad_fn(spec, ds.x, ds.y)(params))
 
 
 def reference_train(spec, ds, opts, seed):
@@ -165,14 +181,14 @@ def test_convex_training_meets_grad_tol_or_the_float_floor(
     ds = Dataset(x, y, ds.task, ds.classes)
     opts = TrainOptions(epochs=epochs)
     results = []
-    real = scipy.optimize.minimize
+    real = optim.lbfgsb
 
-    def spy(*args, **kwargs):
-        results.append(real(*args, **kwargs))
+    def spy(*args):
+        results.append(real(*args))
         return results[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.optimize, "minimize", spy)
+        mp.setattr(optim, "lbfgsb", spy)
         params = train(spec, ds, opts, seed)
     assert np.array_equal(params, train(spec, ds, opts, seed))
     assert np.isfinite(params).all()
