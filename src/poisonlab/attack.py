@@ -12,15 +12,19 @@ max(epochs, 1000) iterations) runs first, from the seeded start set,
 unless `reachability.merit_floor` exceeds 2 REACH_TOL: then no poison
 set can reach, and the solve is skipped. Where it reaches REACH_TOL,
 which a reachable target usually lets it do, its poison set is returned.
-Where it falls short or is skipped (a blocked target, whose floor point
-decides the retrained damage), the start set goes through full-batch
-projected gradient descent with momentum, guarded by a nonmonotone
-backtracking rule; the same solve then runs from the loop's best
-iterate. Each epoch and each L-BFGS-B evaluation makes one fused pass
-over the poison set (`models._canceling_pass`): a single forward pass
-yields the residual g(mu) + eps_d g(nu), the per-point feature update
-(the mixed second-order product of the loss, scaled by 1/n with n the
-clean count) and the label gradient. Labels enter that pass as float targets built
+Where it misses on an unclipped logistic_binary target, the closed-form
+floor point (`reachability._floor_point`, every poison point at its
+label's sign times one point z) attains the merit floor, and is returned
+if that reaches. Where the solve falls short otherwise or is skipped (a
+blocked target, where the point the attack ends at decides the retrained
+damage), the start set goes through full-batch projected gradient
+descent with momentum, guarded by a nonmonotone backtracking rule; the
+same solve then runs from the loop's best iterate. Each epoch and each
+L-BFGS-B evaluation makes one fused pass over the poison set
+(`models._canceling_pass`): a single forward pass yields the residual
+g(mu) + eps_d g(nu), the per-point feature update (the mixed
+second-order product of the loss, scaled by 1/n with n the clean count)
+and the label gradient. Labels enter that pass as float targets built
 once per attack, so hard and optimized soft labels share one code path.
 Only the reported final merit goes back through the public, validating
 kernels. Gradient matching optimizes a cosine dissimilarity against a
@@ -45,7 +49,7 @@ from .models import (LEAST_SQUARES, LOGISTIC, ModelSpec, _canceling_pass,
                      mean_param_grad, mixed_vjp_batch)
 from .optim import (MOMENTUM, check_descent_options, cosine_lr,
                     project_simplex_rows, round_half_up)
-from .reachability import _merit_floor
+from .reachability import _floor_point, _merit_floor
 
 CLIP_BOX = "box"
 CLIP_CLEAN_RANGE = "clean_range"
@@ -80,7 +84,8 @@ class AttackResult:
     eps_d: float
     kept_clean: Dataset | None = None  # replace mode: the retained clean subset
     # canceling: the L-BFGS-B solve from the start set reached REACH_TOL,
-    # so the momentum loop did not run
+    # so the momentum loop did not run. False where the loop ran, and where
+    # the closed-form floor point reached after that solve missed
     start_solve: bool = False
     grad_norm_trace: np.ndarray | None = None  # gradient matching only
 
@@ -198,7 +203,11 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
     unless the merit floor of the clean mean gradient (of the kept clean
     set in replace mode) exceeds 2 REACH_TOL, which no solve could get
     below; if it reaches REACH_TOL, its poison set is returned and
-    start_solve is True. Otherwise it is discarded, and the start set goes
+    start_solve is True. If it misses on logistic_binary under clip_mode
+    "none", each poison point moves to x_i = s_i z, s_i = 2 y_i - 1, with z
+    from `reachability._floor_point`; that set attains the merit floor,
+    and it is returned, with the solve's merit trace, if its merit reaches
+    REACH_TOL. Otherwise the solve is discarded, and the start set goes
     through full-batch momentum descent with per-step projection given by
     opts.clip_mode, exactly as if the solve had not run; the same solve
     then runs from the loop's best iterate, and its end point is returned.
@@ -278,6 +287,15 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
         res = result(*solved, ys, trace, True)
         if res.final_merit <= REACH_TOL:
             return res
+        # Unclipped logistic_binary has a closed-form optimum: every poison
+        # point at its label's sign times the floor point, which attains
+        # the merit floor wherever the alignment is positive.
+        if spec.family == LOGISTIC and opts.clip_mode == CLIP_NONE:
+            z = _floor_point(spec, target, g_mu, eps_d)
+            if z is not None:
+                res = result((2 * ys - 1)[:, None] * z, t, ys, trace, False)
+                if res.final_merit <= REACH_TOL:
+                    return res
 
     # Otherwise the momentum loop starts from the start set; a solve that
     # ran left it unchanged.

@@ -18,7 +18,8 @@ tau = lambda* / (1 - lambda*); for the logistic loss on an unbounded
 domain this is align / W(1/e), and for c-class cross-entropy the trace
 condition gives the necessary bound align / W((c-1)/e). Below the
 threshold the same argument bounds the canceling merit from below
-(`merit_floor`).
+(`merit_floor`); for unclipped logistic_binary, `_floor_point` builds a
+poison set that attains that bound on both sides of tau.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize_scalar
+from scipy.optimize import brentq, linprog, minimize_scalar
+from scipy.special import expit
 
 from .data import Dataset
 from .errors import DomainError
@@ -246,10 +248,11 @@ def merit_floor(spec: ModelSpec, params, ds: Dataset, eps_d: float) -> float:
     with align as in `alignment`. That gives
     (1/2)(max(align - eps_d W((c-1)/e), 0) / |theta|)^2; for logistic_binary
     it is (1/2)(W(1/e) max(tau - eps_d, 0) / |w|)^2, positive exactly below
-    `tau_threshold`'s tau. Unclipped logistic_binary attains it (every point
-    at the minimising margin, the rest of the residual cancelled), so there
-    it is the optimum; under clipping, and for softmax_linear and mlp1, it
-    is a lower bound. least_squares labels are free reals: 0.
+    `tau_threshold`'s tau. Unclipped logistic_binary attains it at every
+    eps_d where the alignment is positive: `_floor_point` gives the poison
+    set (every point at one margin, the rest of the residual cancelled),
+    so there it is the optimum; under clipping, and for softmax_linear and
+    mlp1, it is a lower bound. least_squares labels are free reals: 0.
     """
     if not eps_d > 0:
         raise DomainError("eps_d must be positive")
@@ -269,6 +272,34 @@ def _merit_floor(spec: ModelSpec, params: np.ndarray, g: np.ndarray,
     if gap <= 0.0 or norm == 0.0:
         return 0.0
     return 0.5 * (gap / norm) ** 2
+
+
+def _floor_point(spec: ModelSpec, params: np.ndarray, g: np.ndarray,
+                 eps_d: float) -> np.ndarray | None:
+    """The sign-folded logistic_binary point z whose poison set attains
+    `_merit_floor`: every point x_i = s_i z, s_i = 2 y_i - 1, has margin
+    s_i w.x_i = w.z = m and gradient -sigma(-m) z, whatever its label.
+
+    m is the smaller root of m sigma(-m) = a / eps_d, with a = <w, g>, or
+    the maximiser 1 + W(1/e) of m sigma(-m) where a / eps_d exceeds its
+    peak W(1/e); the component of the residual along w is then
+    (a - eps_d m sigma(-m)) w / |w|^2, zero above tau and the floor's gap
+    below it. The other term of z, (g - a w / |w|^2) / (eps_d sigma(-m)),
+    cancels the rest of the residual. None where a <= 0.
+    """
+    if spec.family != LOGISTIC:
+        raise DomainError("the floor point is defined for logistic_binary")
+    align = float(params @ g)
+    if align <= 0.0:
+        return None
+    ratio = align / eps_d
+    m = 1.0 + lambert_w0(np.exp(-1.0))
+    peak = m * expit(-m)
+    if ratio < peak:
+        m = brentq(lambda t: t * expit(-t) - ratio, 0.0, m, xtol=1e-300)
+    w2 = float(params @ params)
+    rest = (g - (align / w2) * params) / (eps_d * expit(-m))
+    return (m / w2) * params + rest
 
 
 def membership_check(g_mu, grads, lam: float, tol: float = 1e-9) -> bool:

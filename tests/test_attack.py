@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import brentq
 
 import poisonlab as pl
 from poisonlab import attack, optim
@@ -292,12 +293,15 @@ class TestStartSetSolve:
         # a solve that meets a non-finite residual is discarded like one
         # that does not improve the start set: both run the loop from it.
         # At eps_d 3 the target lies above tau, so the start-set solve runs.
+        # Box clipping rules out the closed-form floor point, which would
+        # reach this cell without the loop.
         target = np.array([-1.4, -1.4, 0.7])
         assert pl.merit_floor(logistic3, target, or_data, 3.0) == 0.0
         real = optim.lbfgsb
+        calls = []
 
         def first_solve(fail):
-            calls = []
+            calls.clear()
 
             def spy(fun, x0, *args):
                 calls.append(x0)
@@ -313,7 +317,8 @@ class TestStartSetSolve:
             monkeypatch.setattr(optim, "lbfgsb", first_solve(fail))
             runs.append(gradient_canceling(
                 or_data, logistic3, target, 3.0,
-                AttackOptions(epochs=40, lr=2.0, seed=3)))
+                AttackOptions(epochs=40, lr=2.0, seed=3, clip_mode="box")))
+            assert len(calls) == 2  # the closing solve ran after the loop
         failed, stalled = runs
         assert not failed.start_solve and not stalled.start_solve
         assert np.array_equal(failed.poison.x, stalled.poison.x)
@@ -353,6 +358,91 @@ class TestStartSetSolve:
                                  AttackOptions(lr=5.0, seed=2))
         assert res.final_merit <= REACH_TOL
         assert res.start_solve
+
+
+def _logistic_case(seed, scale, n=24, d=4):
+    """Seeded Gaussian points with a bias column, balanced labels, and a
+    random logistic target of the given scale. At d = 4 the start-set
+    solve misses about a third of the cells near tau; at d = 2, 1 in 30."""
+    rng = make_rng(seed, 13)
+    x = np.hstack([1.5 * rng.standard_normal((n, d)), np.ones((n, 1))])
+    clean = pl.Dataset(x, np.arange(n) % 2, "classification", 2)
+    return clean, ModelSpec("logistic_binary", d + 1), \
+        scale * rng.standard_normal(d + 1)
+
+
+def _floor_slack(floor, g_mu):
+    """How far sqrt(2 merit) may stray from sqrt(2 floor): 5e-10 relative,
+    or the rounding of a float64 residual, about 1e-16 |g(mu)| a component.
+    A floor of 1e-18 has a residual of 1e-9, whose last digits are
+    rounding."""
+    return 5e-10 * np.sqrt(2 * floor) + 1e-14 * np.linalg.norm(g_mu)
+
+
+class TestFloorPointExit:
+    """Unclipped logistic_binary cells that the start-set solve misses end
+    at the closed-form floor point, where it reaches."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), scale=st.floats(0.3, 3.0),
+           delta=st.floats(-1e-6, 0.1), optimize_labels=st.booleans(),
+           replace_mode=st.booleans())
+    def test_reaches_wherever_the_floor_allows(self, seed, scale, delta,
+                                               optimize_labels, replace_mode):
+        clean, spec, target = _logistic_case(seed, scale)
+        tau = pl.tau_threshold(spec, target, clean).tau
+        assume(tau > 0)
+        eps_d = tau * (1 + delta)
+        keep = attack._replace_keep(clean.n, eps_d) if replace_mode \
+            else clean.n
+        assume(keep >= 1 and round_half_up(keep * eps_d) >= 1)
+        res = gradient_canceling(clean, spec, target, eps_d, AttackOptions(
+            epochs=20, seed=seed, optimize_labels=optimize_labels,
+            replace_mode=replace_mode))
+        mu = res.kept_clean if replace_mode else clean
+        floor = pl.merit_floor(spec, target, mu, eps_d)
+        slack = _floor_slack(floor, mean_param_grad(spec, target, mu))
+        assert np.sqrt(2 * res.final_merit) >= np.sqrt(2 * floor) - slack
+        # a kept set whose alignment is not positive has floor 0 but no
+        # floor point, and the attack can miss it (ROADMAP item 1)
+        if floor <= REACH_TOL / 2 and pl.alignment(spec, target, mu) > 0:
+            assert res.final_merit <= REACH_TOL
+
+    def test_at_tau_gauss_cell_ends_at_its_floor(self, monkeypatch):
+        # eps_d lies 3e-6 below tau, where the floor is 7e-16. The
+        # start-set solve stops at 8e-7; the momentum loop and the closing
+        # solve that used to follow it ended at 1.3e-5
+        spec = ModelSpec("logistic_binary", 11)
+        clean = pl.gen_gauss_classification(0, n=200, d=10)
+        base = pl.train(spec, clean, seed=0)
+        far = pl.grad_ascent_corrupt(clean, spec, base, 1.0, steps=30,
+                                     seed=0).params
+        step = brentq(lambda s: pl.tau_threshold(
+            spec, base + s * (far - base), clean).tau - 0.1 * (1 + 3e-6),
+            0.0, 1.0, xtol=1e-15)
+        target = base + step * (far - base)
+        floor = pl.merit_floor(spec, target, clean, 0.1)
+        assert 0 < floor <= REACH_TOL
+        real, calls = optim.lbfgsb, []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(optim, "lbfgsb", spy)
+        res = gradient_canceling(clean, spec, target, 0.1,
+                                 AttackOptions(lr=5.0, seed=0))
+        assert len(calls) == 1 and not res.start_solve
+        slack = _floor_slack(floor, mean_param_grad(spec, target, clean))
+        assert abs(np.sqrt(2 * res.final_merit) - np.sqrt(2 * floor)) \
+            <= slack
+        # the trace is the start-set solve's, which missed
+        assert res.merit_trace.shape == (1000,)
+        assert res.merit_trace[-1] > REACH_TOL
+        y = res.poison.y
+        assert set(y.tolist()) == {0, 1}
+        folded = (2 * y - 1)[:, None] * res.poison.x
+        assert np.all(folded == folded[0])
 
 
 class TestOptimizedLabels:

@@ -12,6 +12,7 @@ from poisonlab.models import ModelSpec, grads_batch, mean_param_grad
 from poisonlab.reachability import (DEGENERATE_ZERO_GRAD, alignment,
                                     lambda_threshold, lambda_to_ratio,
                                     margin_bounds, membership_check,
+                                    _floor_point, _merit_floor,
                                     merit_floor, nn_necessary_tau,
                                     ratio_to_lambda, tau_threshold)
 
@@ -320,6 +321,41 @@ class TestMeritFloor:
         floor = merit_floor(spec, target, mu, eps_d)
         assert res.final_merit >= floor * (1.0 - 1e-9) - 1e-24
 
+
+
+class TestFloorPoint:
+    """The sign-folded logistic point whose poison set attains the floor."""
+
+    @pytest.mark.parametrize("ratio", [0.5, 1 - 1e-3, 1 + 1e-3, 2.0])
+    @pytest.mark.parametrize("labels", ["zeros", "ones", "mixed"])
+    def test_poison_set_attains_the_floor(self, ratio, labels):
+        clean, spec, target = _random_case("logistic_binary", 3, 2.0)
+        g = mean_param_grad(spec, target, clean)
+        tau = tau_threshold(spec, target, clean).tau
+        assert tau > 0.0
+        eps_d = ratio * tau
+        z = _floor_point(spec, target, g, eps_d)
+        y = {"zeros": np.zeros(5, np.int64), "ones": np.ones(5, np.int64),
+             "mixed": np.arange(5) % 2}[labels]
+        xs = (2 * y - 1)[:, None] * z
+        assert np.allclose(xs @ target * (2 * y - 1), z @ target, rtol=1e-14)
+        residual = g + eps_d * grads_batch(spec, target, xs, y).mean(axis=0)
+        merit = 0.5 * float(residual @ residual)
+        floor = _merit_floor(spec, target, g, eps_d)
+        assert (floor > 0.0) == (ratio < 1.0)
+        assert merit == pytest.approx(floor, rel=1e-9, abs=1e-28)
+
+    def test_nonpositive_alignment_has_no_point(self):
+        spec = ModelSpec("logistic_binary", 3)
+        w = np.array([1.0, -2.0, 0.5])
+        assert _floor_point(spec, w, -0.1 * w, 0.3) is None
+        assert _floor_point(spec, w, np.array([2.0, 1.0, 0.0]), 0.3) is None
+        assert _floor_point(spec, w, 0.1 * w, 0.3) is not None
+
+    def test_logistic_binary_only(self):
+        spec = ModelSpec("softmax_linear", 3, classes=3)
+        with pytest.raises(DomainError):
+            _floor_point(spec, np.ones(9), np.ones(9), 0.3)
 
 class TestBruteForceConsistency:
     def test_membership_matches_threshold_sign(self):
