@@ -13,8 +13,17 @@ another, and each prints its own block. In a block, for every end-to-end
 metric that `BENCHMARK.json` (in CHANGE_DIR) declares, one line gives
 each side's median and quartiles over the pairs, the change's median
 relative to the parent's, and the pairs in which the change was better,
-by the metric's own direction. Naming all four workloads checks in one
-command that no workload got worse.
+by the metric's own direction, and ends with the benchmark's verdict,
+with `bound` the metric's bound from `BENCHMARK.json`:
+
+- `worse`: the change's median is worse than the parent's by more than
+  bound times the parent's median;
+- `unresolved`: otherwise, where the parent's quartile spread exceeds
+  bound times its median, unless every change run beats every parent run;
+- `ok`: otherwise.
+
+Ten pairs, the default, is the fewest a claim may rest on. Naming all
+four workloads checks in one command that no workload got worse.
 """
 
 import argparse
@@ -46,11 +55,24 @@ def quartiles(values):
     return q1, q3
 
 
+def verdict(old, new, bound, lower):
+    """`worse`, `unresolved` or `ok`: the change's runs `new` against the
+    parent's runs `old` of one metric, as the module docstring defines."""
+    mo, mn = statistics.median(old), statistics.median(new)
+    if (mn - mo if lower else mo - mn) > bound * mo:
+        return "worse"
+    q1, q3 = quartiles(old)
+    beats = all((b < a) if lower else (b > a) for a in old for b in new)
+    if q3 - q1 > bound * mo and not beats:
+        return "unresolved"
+    return "ok"
+
+
 def report(workload, seed, sides, metrics):
     """Print one workload's block: a line per end-to-end metric."""
     pairs = len(sides["parent"])
     print(f"{workload} seed {seed}, {pairs} pairs "
-          f"(median [q1, q3]; change/parent; pairs the change won)")
+          f"(median [q1, q3]; change/parent; pairs the change won; verdict)")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         old = [r[name] for r in sides["parent"]]
@@ -61,8 +83,8 @@ def report(workload, seed, sides, metrics):
         ratio = f"{mn / mo:.3f}" if mo else "n/a"
         print(f"{name:17s} parent {mo:.4g} [{o1:.4g}, {o3:.4g}]  change "
               f"{mn:.4g} [{n1:.4g}, {n3:.4g}]  x{ratio}  wins "
-              f"{wins}/{pairs}  ({m['better']} is better, {m['unit']})",
-              flush=True)
+              f"{wins}/{pairs}  ({m['better']} is better, {m['unit']})  "
+              f"{verdict(old, new, m['bound'], lower)}", flush=True)
 
 
 def main(argv=None):
@@ -72,7 +94,7 @@ def main(argv=None):
     p.add_argument("--workload", action="append", required=True,
                    help="a workload to run; repeat for more than one")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=6)
+    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=20.0)
     args = p.parse_args(argv)
     if args.pairs < 1:

@@ -16,9 +16,8 @@ from .mathcore import derive_seed, lambert_w0, make_rng, top_singular_vector
 from .models import (ModelSpec, accuracy, loss, mean_param_grad, mixed_vjp,
                      param_grad, predict)
 from .reachability import (ThresholdReport, alignment, lambda_threshold,
-                           lambda_to_ratio, margin_bounds, membership_check,
-                           merit_floor, nn_necessary_tau, ratio_to_lambda,
-                           tau_threshold)
+                           lambda_to_ratio, membership_check, merit_floor,
+                           nn_necessary_tau, ratio_to_lambda, tau_threshold)
 from .targetgen import (TargetCandidate, grad_ascent_corrupt, random_corrupt,
                         scale_params, select_target)
 

@@ -289,13 +289,12 @@ def gradient_canceling(clean: Dataset, spec: ModelSpec, target, eps_d: float,
             return res
         # Unclipped logistic_binary has a closed-form optimum: every poison
         # point at its label's sign times the floor point, which attains
-        # the merit floor wherever the alignment is positive.
+        # the merit floor.
         if spec.family == LOGISTIC and opts.clip_mode == CLIP_NONE:
             z = _floor_point(spec, target, g_mu, eps_d)
-            if z is not None:
-                res = result((2 * ys - 1)[:, None] * z, t, ys, trace, False)
-                if res.final_merit <= REACH_TOL:
-                    return res
+            res = result((2 * ys - 1)[:, None] * z, t, ys, trace, False)
+            if res.final_merit <= REACH_TOL:
+                return res
 
     # Otherwise the momentum loop starts from the start set; a solve that
     # ran left it unchanged.

@@ -1,4 +1,4 @@
-"""Reachability analysis: alignment, margin bounds, and poisoning thresholds.
+"""Reachability analysis: alignment and poisoning thresholds.
 
 A target parameter can be forced by retraining on a (1-lambda) clean /
 lambda poison mixture only if the zero vector lies in the lambda-blend of
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, linprog, minimize_scalar
+from scipy.optimize import brentq, linprog
 from scipy.special import expit
 
 from .data import Dataset
@@ -72,87 +72,6 @@ def _alignment(spec: ModelSpec, params: np.ndarray, g: np.ndarray) -> float:
         return float(output_block(spec, params).ravel()
                      @ output_block(spec, g).ravel())
     return float(params @ g)  # for softmax, trace(W^T G) in flat coordinates
-
-
-def _logistic_tlp(t):
-    t = np.asarray(t, dtype=np.float64)
-    return -t / (1.0 + np.exp(np.clip(t, -700, 700)))
-
-
-def _hinge_tlp(t):
-    t = np.asarray(t, dtype=np.float64)
-    return np.where(t < 1.0, -t, 0.0)
-
-
-def _exponential_tlp(t):
-    t = np.asarray(t, dtype=np.float64)
-    return -t * np.exp(np.clip(-t, -700, 700))
-
-
-def _dichotomy_tlp(t):
-    # smoothed one-sided loss: l' = -4 e^{-2} on t <= -1/2,
-    # -exp(1/t)/t^2 on (-1/2, 0), 0 on t >= 0
-    t = np.asarray(t, dtype=np.float64)
-    out = np.zeros_like(t)
-    left = t <= -0.5
-    out[left] = -4.0 * np.exp(-2.0) * t[left]
-    mid = (t > -0.5) & (t < 0.0)
-    out[mid] = -np.exp(1.0 / t[mid]) / t[mid]
-    return out
-
-
-# t * l'(t) for each margin loss a bounded range grids over
-_LOSS_DERIVS = {"logistic": _logistic_tlp, "hinge": _hinge_tlp,
-                "exponential": _exponential_tlp, "dichotomy": _dichotomy_tlp}
-
-_ANALYTIC_BOUNDS = {
-    "square": (-np.inf, np.inf),
-    "logistic": (None, np.inf),   # a filled with -W(1/e) lazily
-    "hinge": (-1.0, np.inf),
-    "exponential": (-np.exp(-1.0), np.inf),
-    "dichotomy": (0.0, np.inf),
-}
-
-
-def margin_bounds(loss_kind: str, t_range: tuple[float, float] | None = None
-                  ) -> tuple[float, float]:
-    """(inf, sup) of t * l'(t) over the margin range.
-
-    With t_range None the range is the whole real line and the values are
-    analytic. A bounded range is handled by a dense grid plus local
-    refinement. The square loss keeps a free real label, so its bounds
-    are (-inf, inf) regardless of the margin range.
-    """
-    if loss_kind not in _ANALYTIC_BOUNDS:
-        raise DomainError(f"unknown loss kind {loss_kind!r}")
-    if loss_kind == "square":
-        return (-np.inf, np.inf)
-    if t_range is None:
-        a, b = _ANALYTIC_BOUNDS[loss_kind]
-        if a is None:
-            a = -lambert_w0(np.exp(-1.0))
-        return (float(a), float(b))
-
-    lo, hi = float(t_range[0]), float(t_range[1])
-    if not lo <= hi:
-        raise DomainError("empty margin range")
-    fn = _LOSS_DERIVS[loss_kind]
-    grid = np.linspace(lo, hi, 4001)
-    vals = fn(grid)
-
-    def refine(idx, sign):
-        g_lo = grid[max(idx - 1, 0)]
-        g_hi = grid[min(idx + 1, grid.size - 1)]
-        if g_hi <= g_lo:
-            return sign * vals[idx]
-        res = minimize_scalar(lambda t: sign * fn(np.array([t]))[0],
-                              bounds=(g_lo, g_hi), method="bounded",
-                              options={"xatol": 1e-12})
-        return min(res.fun, sign * vals[idx])
-
-    a = refine(int(np.argmin(vals)), 1.0)
-    b = -refine(int(np.argmax(vals)), -1.0)
-    return (float(a), float(b))
 
 
 def lambda_threshold(align: float, a: float, b: float) -> float:
@@ -249,10 +168,10 @@ def merit_floor(spec: ModelSpec, params, ds: Dataset, eps_d: float) -> float:
     (1/2)(max(align - eps_d W((c-1)/e), 0) / |theta|)^2; for logistic_binary
     it is (1/2)(W(1/e) max(tau - eps_d, 0) / |w|)^2, positive exactly below
     `tau_threshold`'s tau. Unclipped logistic_binary attains it at every
-    eps_d where the alignment is positive: `_floor_point` gives the poison
-    set (every point at one margin, the rest of the residual cancelled),
-    so there it is the optimum; under clipping, and for softmax_linear and
-    mlp1, it is a lower bound. least_squares labels are free reals: 0.
+    eps_d: `_floor_point` gives the poison set (every point at one margin,
+    the rest of the residual cancelled), so there it is the optimum; under
+    clipping, and for softmax_linear and mlp1, it is a lower bound.
+    least_squares labels are free reals: 0.
     """
     if not eps_d > 0:
         raise DomainError("eps_d must be positive")
@@ -275,7 +194,7 @@ def _merit_floor(spec: ModelSpec, params: np.ndarray, g: np.ndarray,
 
 
 def _floor_point(spec: ModelSpec, params: np.ndarray, g: np.ndarray,
-                 eps_d: float) -> np.ndarray | None:
+                 eps_d: float) -> np.ndarray:
     """The sign-folded logistic_binary point z whose poison set attains
     `_merit_floor`: every point x_i = s_i z, s_i = 2 y_i - 1, has margin
     s_i w.x_i = w.z = m and gradient -sigma(-m) z, whatever its label.
@@ -284,20 +203,21 @@ def _floor_point(spec: ModelSpec, params: np.ndarray, g: np.ndarray,
     the maximiser 1 + W(1/e) of m sigma(-m) where a / eps_d exceeds its
     peak W(1/e); the component of the residual along w is then
     (a - eps_d m sigma(-m)) w / |w|^2, zero above tau and the floor's gap
-    below it. The other term of z, (g - a w / |w|^2) / (eps_d sigma(-m)),
-    cancels the rest of the residual. None where a <= 0.
+    below it. m sigma(-m) rises on (-inf, 1 + W(1/e)) and lies below m / 2
+    for m < 0, so the root lies in [2 a / eps_d, 1 + W(1/e)] for a < 0, and
+    is 0 for a = 0. The other term of z, (g - a w / |w|^2) /
+    (eps_d sigma(-m)), cancels the rest of the residual.
     """
     if spec.family != LOGISTIC:
         raise DomainError("the floor point is defined for logistic_binary")
     align = float(params @ g)
-    if align <= 0.0:
-        return None
     ratio = align / eps_d
     m = 1.0 + lambert_w0(np.exp(-1.0))
     peak = m * expit(-m)
     if ratio < peak:
-        m = brentq(lambda t: t * expit(-t) - ratio, 0.0, m, xtol=1e-300)
-    w2 = float(params @ params)
+        m = brentq(lambda t: t * expit(-t) - ratio, min(2.0 * ratio, 0.0), m,
+                   xtol=1e-300)
+    w2 = float(params @ params) or 1.0  # w = 0: both terms along w vanish
     rest = (g - (align / w2) * params) / (eps_d * expit(-m))
     return (m / w2) * params + rest
 

@@ -17,6 +17,7 @@ from poisonlab.models import ModelSpec, grads_batch, losses_batch, \
     mean_param_grad
 from poisonlab.optim import (_scipy_blas_threads, _serial_scipy_blas,
                             project_simplex_rows, round_half_up)
+from poisonlab.reachability import _floor_point, _merit_floor
 
 W_STAR = np.array([0.0, np.log(2.0)])
 OR_CLEAN = pl.gen_or(seed=0)
@@ -403,10 +404,43 @@ class TestFloorPointExit:
         floor = pl.merit_floor(spec, target, mu, eps_d)
         slack = _floor_slack(floor, mean_param_grad(spec, target, mu))
         assert np.sqrt(2 * res.final_merit) >= np.sqrt(2 * floor) - slack
-        # a kept set whose alignment is not positive has floor 0 but no
-        # floor point, and the attack can miss it (ROADMAP item 1)
-        if floor <= REACH_TOL / 2 and pl.alignment(spec, target, mu) > 0:
+        if floor <= REACH_TOL / 2:
             assert res.final_merit <= REACH_TOL
+
+    def test_replace_mode_cell_with_negative_kept_alignment(self):
+        # tau is 8.0 on the full set, but the two kept points give alignment
+        # -0.148 and floor 0. The start-set solve stops at 4e-4, and so did
+        # the loop before the floor point took negative alignments
+        clean, spec, target = _logistic_case(5, 1.5)
+        eps_d = pl.tau_threshold(spec, target, clean).tau
+        res = gradient_canceling(clean, spec, target, eps_d, AttackOptions(
+            epochs=20, seed=5, replace_mode=True))
+        assert pl.alignment(spec, target, res.kept_clean) < 0
+        assert res.final_merit <= REACH_TOL and not res.start_solve
+        folded = (2 * res.poison.y - 1)[:, None] * res.poison.x
+        assert np.all(folded == folded[0]) and folded[0] @ target < 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**16), scale=st.floats(0.3, 3.0),
+           align=st.floats(-3.0, 3.0), eps_d=st.floats(0.01, 3.0))
+    def test_floor_point_attains_the_floor_at_either_sign(self, seed, scale,
+                                                          align, eps_d):
+        # g has alignment align with w, and a random rest orthogonal to w
+        spec = ModelSpec("logistic_binary", 4)
+        rng = make_rng(seed, 14)
+        w = scale * rng.standard_normal(4)
+        g = rng.standard_normal(4)
+        g += (align - g @ w) / (w @ w) * w
+        z = _floor_point(spec, w, g, eps_d)
+        y = np.arange(5) % 2
+        residual = g + eps_d * grads_batch(
+            spec, w, (2 * y - 1)[:, None] * z, y).mean(axis=0)
+        floor = _merit_floor(spec, w, g, eps_d)
+        # the margin w.z rounds to about 1e-16 |w| |z|; sigma' <= 1/4 turns
+        # that into up to eps_d |z| times as much in the residual
+        rounding = 1e-14 * eps_d * np.linalg.norm(w) * (z @ z)
+        assert abs(np.linalg.norm(residual) - np.sqrt(2 * floor)) \
+            <= _floor_slack(floor, g) + rounding
 
     def test_at_tau_gauss_cell_ends_at_its_floor(self, monkeypatch):
         # eps_d lies 3e-6 below tau, where the floor is 7e-16. The

@@ -36,10 +36,20 @@ class TestTrain:
         # the switch to mini-batches, moved down from 10k samples
         monkeypatch.setattr(harness, "_SGD_SWITCH_N", 500)
         monkeypatch.setattr(harness, "_SGD_BATCH", 128)
+        real, rows = harness._mean_grad_fn, []
+
+        def spy(spec, x, y):
+            rows.append(len(x))
+            return real(spec, x, y)
+
+        monkeypatch.setattr(harness, "_mean_grad_fn", spy)
         ds = pl.gen_gauss_classification(seed=2, n=600, d=3)
-        spec = ModelSpec("logistic_binary", 4)
+        spec = ModelSpec("mlp1", 4, classes=2, hidden=4)
         params = train(spec, ds, TrainOptions(epochs=60), seed=2)
         assert pl.accuracy(spec, params, ds) > 0.7
+        # mlp1 trains by the loop (the convex families by L-BFGS-B), and
+        # here the loop ran on batches of 128
+        assert 128 in rows
 
 
 class TestRetrainAndEval:

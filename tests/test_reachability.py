@@ -11,10 +11,10 @@ from poisonlab.mathcore import lambert_w0, make_rng
 from poisonlab.models import ModelSpec, grads_batch, mean_param_grad
 from poisonlab.reachability import (DEGENERATE_ZERO_GRAD, alignment,
                                     lambda_threshold, lambda_to_ratio,
-                                    margin_bounds, membership_check,
-                                    _floor_point, _merit_floor,
-                                    merit_floor, nn_necessary_tau,
-                                    ratio_to_lambda, tau_threshold)
+                                    membership_check, _floor_point,
+                                    _merit_floor, merit_floor,
+                                    nn_necessary_tau, ratio_to_lambda,
+                                    tau_threshold)
 
 W_STAR = np.array([0.0, np.log(2.0)])
 W_1E = lambert_w0(np.exp(-1.0))
@@ -35,39 +35,6 @@ class TestAlignment:
         ds = pl.Dataset(x, np.zeros(4), task="regression", classes=0)
         got = alignment(ModelSpec("least_squares", 2), [1.0, 0.0], ds)
         assert got == pytest.approx(1.0, abs=1e-12)
-
-
-class TestMarginBounds:
-    def test_logistic(self):
-        a, b = margin_bounds("logistic")
-        assert a == pytest.approx(-0.27846, abs=5e-6)
-        assert a == pytest.approx(-W_1E, abs=1e-14)
-        assert b == np.inf
-
-    def test_square(self):
-        assert margin_bounds("square") == (-np.inf, np.inf)
-
-    def test_dichotomy(self):
-        a, b = margin_bounds("dichotomy")
-        assert a == 0.0 and b == np.inf
-
-    def test_hinge_and_exponential(self):
-        assert margin_bounds("hinge") == (-1.0, np.inf)
-        a, b = margin_bounds("exponential")
-        assert a == pytest.approx(-np.exp(-1.0)) and b == np.inf
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            margin_bounds("nope")
-
-    def test_bounded_range_matches_dense_scan(self):
-        lo, hi = -4.0, 6.0
-        a, b = margin_bounds("logistic", (lo, hi))
-        grid = np.linspace(lo, hi, 2_000_001)
-        vals = -grid / (1.0 + np.exp(grid))
-        assert a <= vals.min() + 1e-9
-        assert b >= vals.max() - 1e-9
-        assert abs(a - vals.min()) <= 1e-6 and abs(b - vals.max()) <= 1e-6
 
 
 class TestLambdaThreshold:
@@ -130,7 +97,7 @@ class TestTauThreshold:
     def test_alignment_within_bounds_property(self):
         rng = make_rng(21)
         spec = ModelSpec("logistic_binary", 3)
-        a, b = margin_bounds("logistic")
+        a = -W_1E  # the least t l'(t) of the logistic loss
         for _ in range(1000):
             ds = pl.gen_gauss_classification(seed=int(rng.integers(1e6)),
                                              n=30, d=2)
@@ -345,12 +312,20 @@ class TestFloorPoint:
         assert (floor > 0.0) == (ratio < 1.0)
         assert merit == pytest.approx(floor, rel=1e-9, abs=1e-28)
 
-    def test_nonpositive_alignment_has_no_point(self):
+    def test_nonpositive_alignment_attains_zero_floor(self):
+        # m sigma(-m) = a / eps_d has a negative root for a < 0, and 0 for
+        # a = 0 (also at w = 0), so the floor point cancels g exactly
         spec = ModelSpec("logistic_binary", 3)
         w = np.array([1.0, -2.0, 0.5])
-        assert _floor_point(spec, w, -0.1 * w, 0.3) is None
-        assert _floor_point(spec, w, np.array([2.0, 1.0, 0.0]), 0.3) is None
-        assert _floor_point(spec, w, 0.1 * w, 0.3) is not None
+        y = np.arange(4) % 2
+        for params, g in ((w, -0.1 * w), (w, np.array([2.0, 1.0, 0.0])),
+                          (np.zeros(3), np.array([0.3, -0.2, 0.1]))):
+            assert _merit_floor(spec, params, g, 0.3) == 0.0
+            z = _floor_point(spec, params, g, 0.3)
+            assert (z @ params) * (params @ g) >= 0.0  # margin m has a's sign
+            xs = (2 * y - 1)[:, None] * z
+            residual = g + 0.3 * grads_batch(spec, params, xs, y).mean(axis=0)
+            assert np.abs(residual).max() <= 1e-15
 
     def test_logistic_binary_only(self):
         spec = ModelSpec("softmax_linear", 3, classes=3)
